@@ -1,9 +1,10 @@
 // Fault recovery overhead: SGD MF training with one worker crash mid-run,
-// sweeping the checkpoint interval K in two durability modes:
+// sweeping the checkpoint interval K in two delta-log configurations:
 //
-//   full   EnableRecovery — every checkpoint rewrites the whole store
-//          (write-temp, fsync, rename), recovery degrades to N-1 workers.
-//   delta  EnableDurability — checkpoints append only the pages dirtied
+//   full   compact_every = 1 — the log folds into a fresh full base after
+//          every delta record, so every second checkpoint rewrites the whole
+//          store; recovery degrades to N-1 workers.
+//   delta  compact_every = 8 — checkpoints append only the pages dirtied
 //          since the previous record to a CRC-framed delta log, and the
 //          crashed rank REJOINS after restore, so the cluster finishes the
 //          run at its full width.
@@ -13,9 +14,10 @@
 // overhead) rises — the classic checkpoint-interval trade-off (paper
 // Sec. 4.3 fault tolerance). A second experiment measures checkpoint bytes
 // on a sparse-update workload, where delta records stay far below the full
-// image a whole-store checkpoint must rewrite every time.
+// base image a whole-store checkpoint must rewrite every time.
 //
 // Emits BENCH_durability.json with the sweep and the bytes comparison.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -55,16 +57,6 @@ std::string CkptDir(const std::string& tag) {
   return dir;
 }
 
-u64 DirBytes(const std::string& dir) {
-  u64 total = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir)) {
-    if (e.is_regular_file()) {
-      total += static_cast<u64>(e.file_size());
-    }
-  }
-  return total;
-}
-
 struct RunResult {
   double wall_seconds = 0.0;
   f64 final_loss = 0.0;
@@ -90,15 +82,11 @@ RunResult Run(const std::vector<RatingEntry>& data, const RatingsConfig& dcfg,
   ORION_CHECK_OK(app.Init(data, dcfg.rows, dcfg.cols));
   const std::string tag = std::string(delta_log ? "delta_" : "full_") +
                           (crash ? "crash_k" : "clean_k") + std::to_string(every_n_passes);
-  if (delta_log) {
-    Driver::DurabilityOptions opt;
-    opt.every_n_passes = every_n_passes;
-    opt.compact_every = 8;
-    opt.rejoin_crashed_workers = crash;
-    ORION_CHECK_OK(driver.EnableDurability({app.w(), app.h()}, CkptDir(tag), opt));
-  } else {
-    driver.EnableRecovery({app.w(), app.h()}, CkptDir(tag), every_n_passes);
-  }
+  Driver::DurabilityOptions opt;
+  opt.every_n_passes = every_n_passes;
+  opt.compact_every = delta_log ? 8 : 1;
+  opt.rejoin_crashed_workers = delta_log && crash;
+  ORION_CHECK_OK(driver.EnableDurability({app.w(), app.h()}, CkptDir(tag), opt));
 
   const auto t0 = std::chrono::steady_clock::now();
   for (int p = 0; p < kPasses; ++p) {
@@ -140,7 +128,9 @@ std::vector<SweepRow> CrashSweep(const std::vector<RatingEntry>& data,
 // A 32768-cell server table where every pass's writes land in page 0 only
 // (write keys are taken mod 64; pages hold 256 cells). A whole-store
 // checkpoint rewrites all 32768 cells each time; a delta record ships one
-// dirty page.
+// dirty page. The full run (compact_every = 1) measures the size of a full
+// base record: the bytes appended by each checkpoint that wrote a base and
+// nothing else.
 
 constexpr i64 kTableKeys = 32768;
 constexpr i64 kTableSamples = 512;
@@ -148,7 +138,7 @@ constexpr int kSparsePasses = 12;
 
 struct SparseRun {
   RuntimeMetrics metrics;
-  u64 full_image_bytes = 0;  // on-disk size of one whole-store checkpoint
+  u64 full_image_bytes = 0;  // largest full base record appended (full run)
 };
 
 SparseRun RunSparse(bool delta_log) {
@@ -190,31 +180,31 @@ SparseRun RunSparse(bool delta_log) {
   auto loop = driver.Compile(spec, kernel, options);
   ORION_CHECK(loop.ok());
 
-  const std::string dir = CkptDir(delta_log ? "sparse_delta" : "sparse_full");
-  if (delta_log) {
-    Driver::DurabilityOptions opt;
-    opt.every_n_passes = 1;
-    opt.compact_every = 0;  // keep every record a delta so bytes reflect dirty pages
-    ORION_CHECK_OK(driver.EnableDurability({table_w}, dir, opt));
-  } else {
-    driver.EnableRecovery({table_w}, dir, /*every_n_passes=*/1);
-  }
-  for (int p = 0; p < kSparsePasses; ++p) {
-    ORION_CHECK_OK(driver.Execute(*loop));
-  }
-
+  Driver::DurabilityOptions opt;
+  opt.every_n_passes = 1;
+  // delta: keep every record a delta so bytes reflect dirty pages.
+  opt.compact_every = delta_log ? 0 : 1;
+  ORION_CHECK_OK(driver.EnableDurability(
+      {table_w}, CkptDir(delta_log ? "sparse_delta" : "sparse_full"), opt));
   SparseRun out;
-  out.metrics = driver.runtime_metrics();
-  if (!delta_log) {
-    out.full_image_bytes = DirBytes(dir);
+  for (int p = 0; p < kSparsePasses; ++p) {
+    const RuntimeMetrics before = driver.runtime_metrics();
+    ORION_CHECK_OK(driver.Execute(*loop));
+    const RuntimeMetrics after = driver.runtime_metrics();
+    if (after.checkpoints_written == before.checkpoints_written + 1 &&
+        after.delta_checkpoints == before.delta_checkpoints) {
+      out.full_image_bytes = std::max(out.full_image_bytes,
+                                      after.log_bytes_appended - before.log_bytes_appended);
+    }
   }
+  out.metrics = driver.runtime_metrics();
   return out;
 }
 
 int Main() {
   PrintHeader("Fault recovery & log-structured durability",
               "SGD MF, 4 workers, crash of worker 1 at pass 5; sweep checkpoint "
-              "interval K in whole-store (full) and delta-log (delta) modes. "
+              "interval K with full-base (full) and sparse-delta (delta) records. "
               "Replay after the crash is bounded by K; delta mode rejoins the "
               "crashed rank.");
   const auto dcfg = BenchData();
@@ -253,14 +243,18 @@ int Main() {
               kSparsePasses, static_cast<long long>(kTableKeys));
   const SparseRun sp_full = RunSparse(/*delta_log=*/false);
   const SparseRun sp_delta = RunSparse(/*delta_log=*/true);
+  // Whole-store checkpointing writes one full image per checkpoint.
   const u64 full_total = sp_full.metrics.checkpoints_written * sp_full.full_image_bytes;
   const u64 delta_total = sp_delta.metrics.log_bytes_appended;
   const double bytes_ratio =
       delta_total > 0 ? static_cast<double>(full_total) / static_cast<double>(delta_total) : 0.0;
-  std::printf("full : ckpts=%llu image_bytes=%llu total_bytes=%llu ckpt_s=%.3f\n",
+  std::printf("full : ckpts=%llu image_bytes=%llu total_bytes=%llu (compact_every=1 log: "
+              "%llu) ckpt_s=%.3f\n",
               static_cast<unsigned long long>(sp_full.metrics.checkpoints_written),
               static_cast<unsigned long long>(sp_full.full_image_bytes),
-              static_cast<unsigned long long>(full_total), sp_full.metrics.checkpoint_seconds);
+              static_cast<unsigned long long>(full_total),
+              static_cast<unsigned long long>(sp_full.metrics.log_bytes_appended),
+              sp_full.metrics.checkpoint_seconds);
   std::printf("delta: ckpts=%llu delta_records=%llu pages_deltad=%llu total_bytes=%llu "
               "ckpt_s=%.3f (%.1fx fewer bytes)\n",
               static_cast<unsigned long long>(sp_delta.metrics.checkpoints_written),
@@ -290,11 +284,13 @@ int Main() {
                                     ", \"delta\": " + sweep_json(delta_rows) + "}")
       .Figure("sparse_checkpoint_bytes",
               JsonF("{\"passes\": %d, \"full_image_bytes\": %llu, "
-                    "\"full_total_bytes\": %llu, \"delta_total_bytes\": %llu, "
+                    "\"full_total_bytes\": %llu, \"full_log_bytes\": %llu, "
+                    "\"delta_total_bytes\": %llu, "
                     "\"delta_records\": %llu, \"pages_deltad\": %llu, "
                     "\"full_over_delta_bytes\": %.2f}",
                     kSparsePasses, static_cast<unsigned long long>(sp_full.full_image_bytes),
                     static_cast<unsigned long long>(full_total),
+                    static_cast<unsigned long long>(sp_full.metrics.log_bytes_appended),
                     static_cast<unsigned long long>(delta_total),
                     static_cast<unsigned long long>(sp_delta.metrics.delta_checkpoints),
                     static_cast<unsigned long long>(sp_delta.metrics.pages_deltad),

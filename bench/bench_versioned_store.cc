@@ -1,25 +1,24 @@
 // Versioned copy-on-write parameter store: 1D snapshot serving vs the
-// inline 1D baseline, plus a writer-contention microbench on the wavefront
-// overwrite path.
+// inline 1D baseline, plus a writer microbench on the wavefront overwrite
+// path.
 //
 // Sweep 1 (1D serving): a chunked 1D loop with runtime-subscripted server
 // reads and buffered server writes, split into sync rounds, on a
 // real-time-charged link. The baseline serves every round's prefetch
 // inline on the master's service loop (one serialized reply per worker per
-// round); the versioned store lets 1D loops join the sharded async path —
-// the service loop pins a snapshot per request (a refcount bump) and pool
+// round); async serving moves 1D loops onto the sharded path — the service
+// loop pins a snapshot per request (a refcount bump) and pool
 // threads gather from it with no lock while replies overlap on per-worker
 // lanes. The workload is arrival-invariant (read-only table + additive
 // integer-valued buffered updates), so every configuration must be
 // bit-for-bit identical to the inline run; a mismatch is the only failure
 // (exit 1).
 //
-// Sweep 2 (writer contention): the skewed-wavefront recurrence flushes
-// unbuffered server writes (kOverwrite) mid-pass while gather tasks for the
-// next steps are in flight. On the locked path gathers hold the owning
-// stripe's lock across the cell copy; on the snapshot path they hold no
-// lock, so cumulative stripe busy time drops to zero and writers pay only
-// for the pages they actually clone.
+// Sweep 2 (writers vs pinned readers): the skewed-wavefront recurrence
+// flushes unbuffered server writes (kOverwrite) mid-pass while gather tasks
+// for the next steps are in flight. Gathers read pinned snapshots with no
+// lock held and writers pay only for the pages they actually clone; the
+// result must match an inline-serving run bit for bit (exit 1 otherwise).
 //
 // Results go to BENCH_versioned_store.json for the CI smoke step.
 #include <algorithm>
@@ -55,8 +54,7 @@ NetCostModel SlowLink() {
 // ---- Sweep 1: 1D chunked serving ----
 
 struct OneDConfig {
-  bool versioned = true;
-  bool key_range = true;
+  bool async_serving = true;  // false: the inline baseline
   int shards = 4;
 };
 
@@ -65,7 +63,7 @@ struct OneDResult {
   double serve_seconds = 0.0;
   u64 snapshot_pins = 0;
   u64 pages_cloned = 0;
-  u64 stripe_busy_ns = 0;
+  u64 stripe_gather_ns = 0;
   std::map<i64, std::vector<f32>> table_w;
   f64 accum = 0.0;
 };
@@ -80,9 +78,8 @@ OneDResult Run1D(const OneDConfig& c) {
   cfg.num_workers = kWorkers;
   cfg.net = SlowLink();
   cfg.seed = 17;
+  cfg.async_param_serving = c.async_serving;
   cfg.param_server_shards = c.shards;
-  cfg.versioned_store = c.versioned;
-  cfg.param_key_range_stripes = c.key_range;
   Driver driver(cfg);
 
   auto samples = driver.CreateDistArray("samples", {kSamples}, 3, Density::kDense);
@@ -140,7 +137,7 @@ OneDResult Run1D(const OneDConfig& c) {
     res.snapshot_pins += m.versioned_snapshot_pins;
     res.pages_cloned += m.versioned_pages_cloned;
     for (const auto& s : m.stripes) {
-      res.stripe_busy_ns += s.busy_ns;
+      res.stripe_gather_ns += s.gather_ns;
     }
   }
   res.sec_per_pass /= kPasses;
@@ -153,27 +150,25 @@ bool Identical(const OneDResult& a, const OneDResult& b) {
   return a.table_w == b.table_w && a.accum == b.accum;
 }
 
-// ---- Sweep 2: wavefront writer contention ----
+// ---- Sweep 2: wavefront writers vs pinned readers ----
 
 struct WaveResult {
   double sec_per_pass = 0.0;
-  u64 stripe_busy_ns = 0;
-  u64 stripe_wait_ns = 0;
   u64 stripe_gather_ns = 0;
   u64 pages_cloned = 0;
   u64 cow_bytes = 0;
   std::map<i64, std::vector<f32>> out;
 };
 
-WaveResult RunWave(bool versioned) {
+WaveResult RunWave(bool async_serving) {
   const i64 n = 40;
   const i64 m = 32;
 
   DriverConfig cfg;
   cfg.num_workers = kWorkers;
   cfg.seed = 23;
+  cfg.async_param_serving = async_serving;
   cfg.param_server_shards = 4;
-  cfg.versioned_store = versioned;
   Driver driver(cfg);
   auto grid = driver.CreateDistArray("grid", {n, m}, 1, Density::kSparse);
   auto b = driver.CreateDistArray("B", {n, m}, 1, Density::kDense);
@@ -230,8 +225,6 @@ WaveResult RunWave(bool versioned) {
     res.pages_cloned += lm.versioned_pages_cloned;
     res.cow_bytes += lm.versioned_cow_bytes;
     for (const auto& s : lm.stripes) {
-      res.stripe_busy_ns += s.busy_ns;
-      res.stripe_wait_ns += s.wait_ns;
       res.stripe_gather_ns += s.gather_ns;
     }
   }
@@ -243,90 +236,78 @@ WaveResult RunWave(bool versioned) {
 int Main() {
   PrintHeader("versioned copy-on-write parameter store",
               "1D snapshot serving vs inline baseline (real-time-charged link), and "
-              "stripe lock hold time under wavefront overwrites");
+              "wavefront overwrites racing pinned gathers vs inline serving");
 
   OneDConfig inline_cfg;
-  inline_cfg.versioned = false;  // 1D without the versioned store = inline serving
+  inline_cfg.async_serving = false;
   const OneDResult baseline = Run1D(inline_cfg);
   ORION_CHECK(baseline.snapshot_pins == 0);
 
   struct Point {
     int shards;
-    bool key_range;
     OneDResult res;
     bool identical;
   };
   std::vector<Point> points;
   bool identical = true;
-  std::printf("config,sec_per_pass,speedup_vs_inline,serve_sec,pins,stripe_busy_ns,identical\n");
+  std::printf("config,sec_per_pass,speedup_vs_inline,serve_sec,pins,stripe_gather_ns,identical\n");
   std::printf("inline,%.4f,1.00,,,,\n", baseline.sec_per_pass);
   for (int shards : {1, 4}) {
-    for (bool key_range : {false, true}) {
-      OneDConfig c;
-      c.shards = shards;
-      c.key_range = key_range;
-      Point p{shards, key_range, Run1D(c), false};
-      p.identical = Identical(baseline, p.res);
-      if (!p.identical) {
-        std::printf("MISMATCH: shards=%d key_range=%d not bit-for-bit identical to inline\n",
-                    shards, key_range ? 1 : 0);
-        identical = false;
-      }
-      ORION_CHECK(p.res.snapshot_pins > 0);
-      std::printf("snap_s%d_kr%d,%.4f,%.2f,%.4f,%llu,%llu,%d\n", shards, key_range ? 1 : 0,
-                  p.res.sec_per_pass, baseline.sec_per_pass / p.res.sec_per_pass,
-                  p.res.serve_seconds, static_cast<unsigned long long>(p.res.snapshot_pins),
-                  static_cast<unsigned long long>(p.res.stripe_busy_ns), p.identical ? 1 : 0);
-      points.push_back(std::move(p));
+    OneDConfig c;
+    c.shards = shards;
+    Point p{shards, Run1D(c), false};
+    p.identical = Identical(baseline, p.res);
+    if (!p.identical) {
+      std::printf("MISMATCH: shards=%d not bit-for-bit identical to inline\n", shards);
+      identical = false;
     }
+    ORION_CHECK(p.res.snapshot_pins > 0);
+    std::printf("snap_s%d,%.4f,%.2f,%.4f,%llu,%llu,%d\n", shards, p.res.sec_per_pass,
+                baseline.sec_per_pass / p.res.sec_per_pass, p.res.serve_seconds,
+                static_cast<unsigned long long>(p.res.snapshot_pins),
+                static_cast<unsigned long long>(p.res.stripe_gather_ns), p.identical ? 1 : 0);
+    points.push_back(std::move(p));
   }
   double best_speedup = 0.0;
   for (const Point& p : points) {
     best_speedup = std::max(best_speedup, baseline.sec_per_pass / p.res.sec_per_pass);
   }
 
-  const WaveResult locked = RunWave(false);
-  const WaveResult snap = RunWave(true);
-  const bool wave_identical = locked.out == snap.out;
+  const WaveResult inline_wave = RunWave(/*async_serving=*/false);
+  const WaveResult snap = RunWave(/*async_serving=*/true);
+  const bool wave_identical = inline_wave.out == snap.out;
   if (!wave_identical) {
     identical = false;
-    std::printf("MISMATCH: wavefront snapshot run differs from locked run\n");
+    std::printf("MISMATCH: wavefront snapshot run differs from inline run\n");
   }
-  std::printf("wavefront locked:  busy=%.3fms wait=%.3fms gather=%.3fms\n",
-              locked.stripe_busy_ns * 1e-6, locked.stripe_wait_ns * 1e-6,
-              locked.stripe_gather_ns * 1e-6);
-  std::printf("wavefront snapshot: busy=%.3fms wait=%.3fms gather=%.3fms "
-              "pages_cloned=%llu cow_bytes=%llu\n",
-              snap.stripe_busy_ns * 1e-6, snap.stripe_wait_ns * 1e-6,
-              snap.stripe_gather_ns * 1e-6,
+  std::printf("wavefront inline:   sec_per_pass=%.4f\n", inline_wave.sec_per_pass);
+  std::printf("wavefront snapshot: sec_per_pass=%.4f gather=%.3fms pages_cloned=%llu "
+              "cow_bytes=%llu\n",
+              snap.sec_per_pass, snap.stripe_gather_ns * 1e-6,
               static_cast<unsigned long long>(snap.pages_cloned),
               static_cast<unsigned long long>(snap.cow_bytes));
 
   std::vector<std::string> sweep_rows;
   for (const Point& p : points) {
     sweep_rows.push_back(
-        JsonF("{\"shards\": %d, \"key_range\": %s, \"sec_per_pass\": %.6f, "
+        JsonF("{\"shards\": %d, \"sec_per_pass\": %.6f, "
               "\"speedup_vs_inline\": %.3f, \"serve_sec\": %.6f, "
-              "\"snapshot_pins\": %llu, \"stripe_busy_ns\": %llu, "
+              "\"snapshot_pins\": %llu, \"stripe_gather_ns\": %llu, "
               "\"identical\": %s}",
-              p.shards, p.key_range ? "true" : "false", p.res.sec_per_pass,
-              baseline.sec_per_pass / p.res.sec_per_pass, p.res.serve_seconds,
-              static_cast<unsigned long long>(p.res.snapshot_pins),
-              static_cast<unsigned long long>(p.res.stripe_busy_ns),
+              p.shards, p.res.sec_per_pass, baseline.sec_per_pass / p.res.sec_per_pass,
+              p.res.serve_seconds, static_cast<unsigned long long>(p.res.snapshot_pins),
+              static_cast<unsigned long long>(p.res.stripe_gather_ns),
               p.identical ? "true" : "false"));
   }
   BenchJson("versioned_store")
       .Figure("inline_sec", baseline.sec_per_pass)
       .Figure("sweep", BenchJson::Array(sweep_rows))
-      .Figure("wavefront_contention",
-              JsonF("{\"locked_busy_ns\": %llu, \"locked_wait_ns\": %llu, "
-                    "\"snapshot_busy_ns\": %llu, \"snapshot_wait_ns\": %llu, "
-                    "\"snapshot_pages_cloned\": %llu, \"snapshot_cow_bytes\": %llu, "
-                    "\"identical\": %s}",
-                    static_cast<unsigned long long>(locked.stripe_busy_ns),
-                    static_cast<unsigned long long>(locked.stripe_wait_ns),
-                    static_cast<unsigned long long>(snap.stripe_busy_ns),
-                    static_cast<unsigned long long>(snap.stripe_wait_ns),
+      .Figure("wavefront",
+              JsonF("{\"inline_sec_per_pass\": %.6f, \"snapshot_sec_per_pass\": %.6f, "
+                    "\"snapshot_gather_ns\": %llu, \"snapshot_pages_cloned\": %llu, "
+                    "\"snapshot_cow_bytes\": %llu, \"identical\": %s}",
+                    inline_wave.sec_per_pass, snap.sec_per_pass,
+                    static_cast<unsigned long long>(snap.stripe_gather_ns),
                     static_cast<unsigned long long>(snap.pages_cloned),
                     static_cast<unsigned long long>(snap.cow_bytes),
                     wave_identical ? "true" : "false"))
@@ -336,9 +317,6 @@ int Main() {
 
   PrintShape("1D snapshot serving beats the inline baseline by >= 1.15x",
              best_speedup >= 1.15);
-  PrintShape("snapshot gathers hold no stripe lock (busy drops to zero from a "
-             "positive locked baseline)",
-             snap.stripe_busy_ns == 0 && locked.stripe_busy_ns > 0);
   PrintShape("all configurations bit-for-bit identical", identical);
   return identical ? 0 : 1;
 }

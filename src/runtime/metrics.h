@@ -54,12 +54,10 @@ struct LoopMetrics {
   u64 versioned_snapshot_pins = 0;
   u64 versioned_pages_cloned = 0;
   u64 versioned_cow_bytes = 0;
-  // Per-stripe contention heatmap, indexed by stripe. Empty when the pass
-  // had no sharded serving.
+  // Per-stripe load heatmap, indexed by stripe. Empty when the pass had no
+  // sharded serving.
   struct StripeMetrics {
-    u64 busy_ns = 0;    // lock-held gather time (0 on the snapshot path)
     u64 gather_ns = 0;  // cell-copy time
-    u64 wait_ns = 0;    // lock-acquire wait (readers + writers)
     u64 tasks = 0;
     int queue_depth_max = 0;
   };

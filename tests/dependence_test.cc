@@ -9,13 +9,7 @@ namespace {
 
 ArrayAccess Ref(DistArrayId array, std::vector<Subscript> subs, bool write,
                 bool buffered = false) {
-  ArrayAccess a;
-  a.array = array;
-  a.array_name = "A";
-  a.subscripts = std::move(subs);
-  a.is_write = write;
-  a.buffered = buffered;
-  return a;
+  return ArrayAccess{array, std::string("A"), std::move(subs), write, buffered};
 }
 
 // ---- DepVec canonicalization ----

@@ -51,10 +51,18 @@ SupervisorConfig FastSupervision() {
 }
 
 // Tests run as parallel ctest processes; each needs its own checkpoint dir.
+// A fresh delta-log directory: a log left by an earlier run would be
+// adopted by the writer.
 std::string RecoveryDir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "/orion_fi_" + tag;
-  std::filesystem::create_directories(dir);
+  std::filesystem::remove_all(dir);
   return dir;
+}
+
+Driver::DurabilityOptions EveryTwoPasses() {
+  Driver::DurabilityOptions o;
+  o.every_n_passes = 2;
+  return o;
 }
 
 Message ControlMsg(WorkerId from, WorkerId to, std::vector<u8> payload) {
@@ -250,8 +258,9 @@ TEST(FaultInjectionE2E, SgdMfCrashRecoveryConvergesAndIsDeterministic) {
     Driver driver(cfg);
     SgdMfApp app(&driver, mf);
     ASSERT_TRUE(app.Init(data, 300, 240).ok());
-    driver.EnableRecovery({app.w(), app.h()}, RecoveryDir("crash_mf"),
-                          /*every_n_passes=*/2);
+    ASSERT_TRUE(
+        driver.EnableDurability({app.w(), app.h()}, RecoveryDir("crash_mf"), EveryTwoPasses())
+            .ok());
     *loss0 = *app.EvalLoss();
     for (int p = 0; p < 8; ++p) {
       ASSERT_TRUE(app.RunPass().ok());
@@ -310,8 +319,9 @@ TEST(FaultInjectionE2E, OrderedWavefrontSurvivesBarrierFaultsAndCrash) {
   SgdMfApp app(&driver, mf);
   ASSERT_TRUE(app.Init(data, 300, 240).ok());
   ASSERT_TRUE(app.train_plan().ordered);
-  driver.EnableRecovery({app.w(), app.h()}, RecoveryDir("wavefront_mf"),
-                        /*every_n_passes=*/2);
+  ASSERT_TRUE(
+      driver.EnableDurability({app.w(), app.h()}, RecoveryDir("wavefront_mf"), EveryTwoPasses())
+          .ok());
 
   const f64 loss0 = *app.EvalLoss();
   for (int p = 0; p < 6; ++p) {

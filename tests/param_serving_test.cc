@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -431,6 +433,100 @@ TEST(PerKeyMetering, BuildParamReplyPreservesKeyOrder) {
   Message reply = BuildParamReply(req, master, kDim, /*zero_copy=*/false);
   PartData pd = TakePart(reply);
   EXPECT_EQ(pd.cells.keys(), (std::vector<i64>{9, 1, 5}));  // request order, misses skipped
+}
+
+// ---------------------------------------------------------------------------
+// ParamServer unit: the sharded snapshot path (hash-striped gathers, then
+// cursor-based assembly in request-key order) must produce exactly the reply
+// BuildParamReply — the inline path — builds from the same store.
+
+void ExpectSameReply(Message want, Message got, const std::string& what) {
+  EXPECT_EQ(got.from, want.from) << what;
+  EXPECT_TRUE(got.kind == want.kind) << what;
+  EXPECT_EQ(got.tag, want.tag) << what;
+  EXPECT_EQ(got.meter_messages, want.meter_messages) << what;
+  EXPECT_EQ(got.meter_extra_bytes, want.meter_extra_bytes) << what;
+  EXPECT_EQ(got.WireSize(), want.WireSize()) << what;
+  const PartData want_pd = TakePart(want);
+  const PartData got_pd = TakePart(got);
+  EXPECT_EQ(got_pd.cells.keys(), want_pd.cells.keys()) << what;
+  EXPECT_EQ(got_pd.Encode(), want_pd.Encode()) << what;
+}
+
+TEST(ParamServerUnit, SnapshotReplyMatchesBuildParamReply) {
+  constexpr i32 kDim = 3;
+  constexpr WorkerId kFrom = 1;
+  auto fill = [](CellStore* store, const std::vector<i64>& keys) {
+    for (i64 key : keys) {
+      f32* v = store->GetOrCreate(key);
+      for (i32 d = 0; d < kDim; ++d) {
+        v[d] = 0.5f * static_cast<f32>(key) + 0.25f * static_cast<f32>(d);
+      }
+    }
+  };
+  // Dense master over keys [100, 899]: several copy-on-write pages.
+  std::vector<i64> dense_keys;
+  for (i64 k = 100; k <= 899; ++k) {
+    dense_keys.push_back(k);
+  }
+  CellStore dense = CellStore::DenseRange(kDim, 100, 899);
+  fill(&dense, dense_keys);
+  // Hashed master with strided keys below 100003; keys at or above it miss.
+  std::vector<i64> hashed_keys;
+  for (i64 i = 0; i < 600; ++i) {
+    hashed_keys.push_back((i * 7919) % 100003);
+  }
+  CellStore hashed(kDim, CellStore::Layout::kHashed, 0);
+  fill(&hashed, hashed_keys);
+
+  struct Case {
+    std::string name;
+    const CellStore* master;
+    std::vector<i64> keys;
+    bool per_key = false;
+  };
+  const std::vector<i64> dense_reversed(dense_keys.rbegin(), dense_keys.rend());
+  std::vector<i64> hashed_mixed;
+  for (size_t i = 0; i < hashed_keys.size(); i += 3) {
+    hashed_mixed.push_back(hashed_keys[i]);
+    hashed_mixed.push_back(100003 + static_cast<i64>(i));  // miss
+    if (i % 2 == 0) {
+      hashed_mixed.push_back(hashed_keys[i]);  // duplicate
+    }
+  }
+  const std::vector<Case> cases = {
+      {"dense_duplicates", &dense, {450, 101, 450, 899, 100, 101, 450, 777}},
+      {"dense_all_reversed", &dense, dense_reversed},
+      {"dense_empty", &dense, {}},
+      {"hashed_duplicates_and_misses", &hashed, hashed_mixed},
+      {"hashed_per_key", &hashed, {hashed_keys[9], 100004, hashed_keys[9], hashed_keys[2]}, true},
+      {"hashed_all_misses", &hashed, {100003, 200000, 100003}},
+      {"hashed_empty", &hashed, {}},
+  };
+
+  for (bool zero_copy : {false, true}) {
+    for (int shards : {1, 3, 4}) {
+      Fabric fabric(/*num_workers=*/2);
+      fabric.SetZeroCopy(zero_copy);
+      ParamServer server(&fabric, shards, /*num_workers=*/2);
+      for (const Case& c : cases) {
+        const std::string what = c.name + " shards=" + std::to_string(shards) +
+                                 " zero_copy=" + std::to_string(zero_copy);
+        VersionedCellStore store{CellStore(*c.master)};
+        store.BeginServing();
+        ParamRequest req{/*array=*/7, /*step=*/3, c.keys};
+        req.per_key = c.per_key;
+        Message want = BuildParamReply(req, *c.master, kDim, zero_copy);
+        server.HandleRequestSnapshot(req, kFrom, store.Pin(), kDim);
+        server.Quiesce();
+        std::optional<Message> got = fabric.TryRecv(kFrom);
+        ASSERT_TRUE(got.has_value()) << what;
+        EXPECT_EQ(got->to, kFrom) << what;
+        ExpectSameReply(std::move(want), std::move(*got), what);
+        EXPECT_FALSE(fabric.TryRecv(kFrom).has_value()) << what;
+      }
+    }
+  }
 }
 
 }  // namespace
