@@ -98,6 +98,7 @@ int Main() {
 
   double mf_4w = 0.0;
   double mf_max_speedup = 0.0;
+  int mf_peak_workers = 0;
   double lda_4w = 0.0;
   for (int workers : {1, 2, 4, 8, 16}) {
     const double mf_s = OrionMfSecondsPerIter(data, ratings_cfg.rows, ratings_cfg.cols, workers);
@@ -105,7 +106,10 @@ int Main() {
     if (workers == 4) {
       mf_4w = mf_s;
     }
-    mf_max_speedup = std::max(mf_max_speedup, serial_mf_s / mf_s);
+    if (serial_mf_s / mf_s > mf_max_speedup) {
+      mf_max_speedup = serial_mf_s / mf_s;
+      mf_peak_workers = workers;
+    }
     const double lda_s =
         OrionLdaSecondsPerIter(corpus, corpus_cfg.num_docs, corpus_cfg.vocab, workers);
     std::printf("lda,%d,%.4f,%.2f\n", workers, lda_s, serial_lda_s / lda_s);
@@ -120,8 +124,10 @@ int Main() {
   // workers to a few workers.
   PrintShape("Orion overtakes the (tight C++) serial baseline by 4 workers (MF and LDA)",
              mf_4w < serial_mf_s && lda_4w < serial_lda_s);
-  PrintShape("speedup keeps growing with workers (MF reaches >= 2.5x by 16 workers)",
-             mf_max_speedup >= 2.5);
+  // The check is on MF's best speedup, not on monotone growth: the 8 -> 16
+  // worker step is not reliably a gain at this problem size.
+  std::printf("sgd_mf peak speedup %.2fx at %d workers\n", mf_max_speedup, mf_peak_workers);
+  PrintShape("MF's best speedup over 1..16 workers reaches >= 2.5x", mf_max_speedup >= 2.5);
   return 0;
 }
 

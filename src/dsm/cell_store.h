@@ -3,7 +3,8 @@
 // Three layouts:
 //  - kHashed: holds an arbitrary subset of cells (sparse arrays, server
 //    shards, caches). Iteration order is insertion order, so executions are
-//    deterministic.
+//    deterministic. Cells live in two parallel vectors (keys_, values_) in
+//    insertion order, indexed by the slot table described below.
 //  - kDenseRange: holds the contiguous key range [lo, hi] of a dense array
 //    (range partitions and rotated partitions of dense parameter arrays).
 //    Constant-time, hash-free access — this is the hot path of kernels.
@@ -11,11 +12,28 @@
 //    replicated arrays, driver-resident master copies).
 //
 // All values are f32 spans of length value_dim.
+//
+// The hashed index: slots_ is a power-of-two table of u32 entries holding
+// cell index + 1 (0 means empty), probed linearly from a multiplicative hash
+// of the key (an identity hash would pile strided 2-D keys onto a few
+// buckets under the mask). Keys are read back from keys_, so there is no
+// per-key node: a hashed store owns three allocations whatever its size.
+// Invariants:
+//  - load <= 1/2, so every probe sequence ends at an empty slot;
+//  - lookups never write the table (Get/Contains are const, and
+//    GetOrCreate of a present key grows nothing): zero-copy PartData shares
+//    one store read-only across threads;
+//  - a store holds at most 2^32 - 1 cells (a slot must fit cell index + 1);
+//  - when keys_ holds a key twice (only Deserialize of such bytes does
+//    that), the index points at its first cell.
+// Serialize bytes, iteration order and wire metering depend only on keys_
+// and values_, so they do not see the table.
 #ifndef ORION_SRC_DSM_CELL_STORE_H_
 #define ORION_SRC_DSM_CELL_STORE_H_
 
+#include <algorithm>
 #include <functional>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "src/common/serde.h"
@@ -72,8 +90,8 @@ class CellStore {
           << "key" << key << "outside dense range [" << range_lo_ << "," << range_hi_ << "]";
       return values_.data() + static_cast<size_t>(key - range_lo_) * value_dim_;
     }
-    auto it = index_.find(key);
-    return it == index_.end() ? nullptr : values_.data() + it->second;
+    const size_t cell = Find(key);
+    return cell == kAbsent ? nullptr : values_.data() + cell * static_cast<size_t>(value_dim_);
   }
 
   // Returns a mutable span, inserting a zero-initialized cell if absent.
@@ -83,13 +101,21 @@ class CellStore {
           << "key" << key << "outside dense range [" << range_lo_ << "," << range_hi_ << "]";
       return values_.data() + static_cast<size_t>(key - range_lo_) * value_dim_;
     }
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      return values_.data() + it->second;
+    size_t pos = 0;
+    if (!slots_.empty()) {
+      pos = Probe(key);
+      if (slots_[pos] != 0) {
+        return values_.data() + (slots_[pos] - 1) * static_cast<size_t>(value_dim_);
+      }
+    }
+    // Grow only on a real insert, so a hit never writes the table.
+    if (2 * (keys_.size() + 1) > slots_.size()) {
+      Rehash(keys_.size() + 1);
+      pos = Probe(key);
     }
     const size_t offset = values_.size();
+    slots_[pos] = static_cast<u32>(keys_.size() + 1);
     values_.resize(offset + static_cast<size_t>(value_dim_), 0.0f);
-    index_.emplace(key, offset);
     keys_.push_back(key);
     return values_.data() + offset;
   }
@@ -98,7 +124,7 @@ class CellStore {
     if (IsDense()) {
       return key >= range_lo_ && key <= range_hi_;
     }
-    return index_.find(key) != index_.end();
+    return Find(key) != kAbsent;
   }
 
   // Visits cells in a deterministic order (insertion order for hashed,
@@ -155,8 +181,12 @@ class CellStore {
     if (IsDense() || additional_cells <= 0) {
       return;
     }
+    ORION_CHECK(static_cast<u64>(additional_cells) <= kMaxCells - keys_.size())
+        << "a hashed CellStore holds at most" << kMaxCells << "cells";
     const size_t total = keys_.size() + static_cast<size_t>(additional_cells);
-    index_.reserve(total);
+    if (2 * total > slots_.size()) {
+      Rehash(total);
+    }
     keys_.reserve(total);
     values_.reserve(total * static_cast<size_t>(value_dim_));
   }
@@ -184,7 +214,7 @@ class CellStore {
       values_.assign(values_.size(), 0.0f);
       return;
     }
-    index_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0u);
     keys_.clear();
     values_.clear();
   }
@@ -232,10 +262,7 @@ class CellStore {
     s.keys_ = r->GetVec<i64>();
     s.values_ = r->GetVec<f32>();
     ORION_CHECK(s.values_.size() == s.keys_.size() * static_cast<size_t>(value_dim));
-    s.index_.reserve(s.keys_.size());
-    for (size_t i = 0; i < s.keys_.size(); ++i) {
-      s.index_.emplace(s.keys_[i], i * static_cast<size_t>(value_dim));
-    }
+    s.Rehash(s.keys_.size());
     return s;
   }
 
@@ -282,13 +309,13 @@ class CellStore {
     if (values->size() != keys->size() * static_cast<size_t>(*value_dim)) {
       return Status::InvalidArgument("cell store key/value count mismatch");
     }
+    if (keys->size() > kMaxCells) {
+      return Status::InvalidArgument("cell store has too many cells");
+    }
     CellStore s(*value_dim, Layout::kHashed, 0);
     s.keys_ = std::move(*keys);
     s.values_ = std::move(*values);
-    s.index_.reserve(s.keys_.size());
-    for (size_t i = 0; i < s.keys_.size(); ++i) {
-      s.index_.emplace(s.keys_[i], i * static_cast<size_t>(*value_dim));
-    }
+    s.Rehash(s.keys_.size());
     return s;
   }
 
@@ -302,10 +329,6 @@ class CellStore {
     });
   }
 
-  size_t ApproxBytes() const {
-    return values_.size() * sizeof(f32) + keys_.size() * (sizeof(i64) + 16);
-  }
-
   // Contiguous backing span, in slot order (dense layouts: key order;
   // hashed: insertion order). Lets the versioned page store paginate and
   // collapse with bulk copies instead of per-cell lookups.
@@ -313,12 +336,63 @@ class CellStore {
   f32* raw_values_data() { return values_.data(); }
 
  private:
+  static constexpr size_t kAbsent = std::numeric_limits<size_t>::max();
+  // Slots hold cell index + 1 in a u32, so cell indices stop at 2^32 - 2.
+  static constexpr size_t kMaxCells = std::numeric_limits<u32>::max();
+
+  // Table position a probe for `key` starts at: the top bits of a Fibonacci
+  // multiplicative hash (the low product bits of a strided key repeat).
+  size_t Home(i64 key) const {
+    return static_cast<size_t>((static_cast<u64>(key) * 0x9E3779B97F4A7C15ull) >> slot_shift_);
+  }
+
+  // Position of `key`'s slot, or of the empty slot that ends its probe
+  // sequence when absent. Requires a non-empty table.
+  size_t Probe(i64 key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t pos = Home(key);
+    while (slots_[pos] != 0 && keys_[slots_[pos] - 1] != key) {
+      pos = (pos + 1) & mask;
+    }
+    return pos;
+  }
+
+  // Cell index of `key` in keys_/values_, or kAbsent (hashed layout).
+  size_t Find(i64 key) const {
+    if (slots_.empty()) {
+      return kAbsent;
+    }
+    const u32 slot = slots_[Probe(key)];
+    return slot == 0 ? kAbsent : slot - 1;
+  }
+
+  // Rebuilds slots_ at the smallest power of two (>= 16) that keeps
+  // `min_cells` at load <= 1/2, indexing keys_ in order. A key keys_ holds
+  // twice keeps its first cell.
+  void Rehash(size_t min_cells) {
+    ORION_CHECK(min_cells <= kMaxCells) << "a hashed CellStore holds at most" << kMaxCells
+                                        << "cells";
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * min_cells) {
+      ++bits;
+    }
+    slots_.assign(size_t{1} << bits, 0u);
+    slot_shift_ = 64 - bits;
+    for (size_t cell = 0; cell < keys_.size(); ++cell) {
+      const size_t pos = Probe(keys_[cell]);
+      if (slots_[pos] == 0) {
+        slots_[pos] = static_cast<u32>(cell + 1);
+      }
+    }
+  }
+
   i32 value_dim_ = 1;
   Layout layout_ = Layout::kHashed;
   i64 range_lo_ = 0;   // dense layouts: first key
   i64 range_hi_ = -1;  // dense layouts: last key (inclusive)
-  std::unordered_map<i64, size_t> index_;  // key -> offset into values_
-  std::vector<i64> keys_;                  // insertion order
+  std::vector<u32> slots_;  // hashed index: cell index + 1, 0 = empty
+  int slot_shift_ = 64;     // 64 - log2(slots_.size())
+  std::vector<i64> keys_;   // insertion order
   std::vector<f32> values_;
 };
 

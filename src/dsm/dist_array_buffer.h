@@ -54,10 +54,13 @@ class DistArrayBuffer {
 
   i64 NumPending() const { return pending_.NumCells(); }
 
-  // Drains the pending updates (leaves the buffer empty).
+  // Drains the pending updates (leaves the buffer empty). The fresh store is
+  // sized for as many cells as were drained, since the next round usually
+  // touches about as many keys.
   CellStore Drain() {
     CellStore out = std::move(pending_);
     pending_ = CellStore(update_dim_, CellStore::Layout::kHashed, 0);
+    pending_.Reserve(out.NumCells());
     return out;
   }
 

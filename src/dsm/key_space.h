@@ -6,6 +6,8 @@
 #ifndef ORION_SRC_DSM_KEY_SPACE_H_
 #define ORION_SRC_DSM_KEY_SPACE_H_
 
+#include <algorithm>
+#include <bit>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -89,6 +91,34 @@ class KeySpace {
   std::vector<i64> strides_;
   i64 total_ = 0;
 };
+
+// Sorts `keys` ascending and drops duplicates (prefetch key lists, which
+// repeat each key once per access). When every key lies in [0, total) and
+// the key space is small next to the list (total / 64 <= keys.size(), so the
+// bitmap has no more words than there are keys), it marks a bitmap and scans
+// its words in O(keys + total / 64); otherwise it falls back to sort +
+// unique. A key outside [0, total) always takes the sort path.
+inline void SortUniqueKeys(std::vector<i64>& keys, i64 total) {
+  if (keys.empty()) {
+    return;
+  }
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  if (*lo < 0 || *hi >= total || total / 64 > static_cast<i64>(keys.size())) {
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    return;
+  }
+  std::vector<u64> bits(static_cast<size_t>(total + 63) / 64, 0);
+  for (const i64 k : keys) {
+    bits[static_cast<size_t>(k) / 64] |= u64{1} << (k % 64);
+  }
+  keys.clear();
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (u64 word = bits[w]; word != 0; word &= word - 1) {
+      keys.push_back(static_cast<i64>(w * 64) + std::countr_zero(word));
+    }
+  }
+}
 
 }  // namespace orion
 

@@ -693,8 +693,7 @@ std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const Comp
       }
     }
     for (auto& [array, keys] : recorded) {
-      std::sort(keys.begin(), keys.end());
-      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      SortUniqueKeys(keys, GetArray(array).meta.key_space.total());
       if (cl.options.prefetch == PrefetchMode::kCached) {
         prefetch_key_cache_[{cl.loop_id, step, array}] = keys;
       }

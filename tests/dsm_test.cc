@@ -2,8 +2,10 @@
 // buffers, randomize, checkpointing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "src/common/rng.h"
 #include "src/dsm/cell_store.h"
@@ -169,6 +171,224 @@ TEST(CellStore, SliceCoversExactlyOnce) {
   }
   for (int v : visits) {
     EXPECT_EQ(v, 1);
+  }
+}
+
+// ---- Hashed index (open-addressing slot table) ----
+
+// Inserts `keys` in order with value[0] = position, then checks every key
+// reads back its own cell, that `absent` keys miss, and that iteration is
+// insertion order.
+void ExpectIndexed(CellStore& s, const std::vector<i64>& keys, const std::vector<i64>& absent) {
+  ASSERT_EQ(s.NumCells(), static_cast<i64>(keys.size()));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const f32* v = s.Get(keys[i]);
+    ASSERT_NE(v, nullptr) << "key " << keys[i];
+    EXPECT_EQ(v[0], static_cast<f32>(i)) << "key " << keys[i];
+    EXPECT_TRUE(s.Contains(keys[i]));
+  }
+  for (const i64 k : absent) {
+    EXPECT_EQ(s.Get(k), nullptr) << "key " << k;
+    EXPECT_FALSE(s.Contains(k));
+  }
+  EXPECT_EQ(s.keys(), keys);
+}
+
+void InsertNumbered(CellStore& s, const std::vector<i64>& keys) {
+  for (size_t i = 0; i < keys.size(); ++i) {
+    s.GetOrCreate(keys[i])[0] = static_cast<f32>(i);
+  }
+}
+
+TEST(CellStoreIndex, StridedAndMaskCollidingKeysSurviveRehashes) {
+  // Strides that share their low bits (powers of two, 2-D row strides) all
+  // land on one bucket under a bare mask; 3000 keys force eight rehashes.
+  for (const i64 stride : {i64{1}, i64{7}, i64{1} << 10, i64{50000}, i64{1} << 32,
+                           i64{1} << 48}) {
+    CellStore s(2, CellStore::Layout::kHashed, 0);
+    std::vector<i64> keys;
+    std::vector<i64> absent;
+    for (i64 i = 0; i < 3000; ++i) {
+      keys.push_back(i * stride);
+      absent.push_back(i * stride + (stride > 1 ? stride / 2 : 5000));
+    }
+    InsertNumbered(s, keys);
+    // Re-touching existing keys must not add cells.
+    for (const i64 k : keys) {
+      s.GetOrCreate(k);
+    }
+    SCOPED_TRACE(stride);
+    ExpectIndexed(s, keys, absent);
+  }
+}
+
+TEST(CellStoreIndex, NegativeAndExtremeKeys) {
+  CellStore s(1, CellStore::Layout::kHashed, 0);
+  std::vector<i64> keys = {-1, 0, std::numeric_limits<i64>::min(),
+                           std::numeric_limits<i64>::max(), -(i64{1} << 40)};
+  for (i64 i = 1; i < 500; ++i) {
+    keys.push_back(-i * 1024);
+  }
+  InsertNumbered(s, keys);
+  ExpectIndexed(s, keys, {1, -3, std::numeric_limits<i64>::min() + 1});
+}
+
+TEST(CellStoreIndex, DuplicateKeysInBytesKeepTheFirstCell) {
+  ByteWriter w;
+  w.Put<i32>(1);
+  w.Put<u8>(static_cast<u8>(CellStore::Layout::kHashed));
+  w.PutVec(std::vector<i64>{5, 9, 5, 9, 5});
+  w.PutVec(std::vector<f32>{1.0f, 2.0f, 3.0f, 4.0f, 5.0f});
+  const auto bytes = w.Take();
+  for (const bool checked : {false, true}) {
+    ByteReader r(bytes);
+    CellStore s;
+    if (checked) {
+      auto back = CellStore::TryDeserialize(&r);
+      ASSERT_TRUE(back.ok());
+      s = std::move(*back);
+    } else {
+      s = CellStore::Deserialize(&r);
+    }
+    EXPECT_EQ(s.NumCells(), 5);
+    EXPECT_EQ(*s.Get(5), 1.0f);
+    EXPECT_EQ(*s.Get(9), 2.0f);
+    // Growing the table re-indexes keys_ and must still pick the first cell.
+    for (i64 k = 100; k < 400; ++k) {
+      s.GetOrCreate(k);
+    }
+    EXPECT_EQ(*s.Get(5), 1.0f);
+    EXPECT_EQ(*s.Get(9), 2.0f);
+    *s.GetOrCreate(5) += 10.0f;
+    EXPECT_EQ(s.raw_values()[0], 11.0f);
+    EXPECT_EQ(s.raw_values()[2], 3.0f);
+  }
+}
+
+TEST(CellStoreIndex, ClearThenReuse) {
+  CellStore s(1, CellStore::Layout::kHashed, 0);
+  std::vector<i64> first;
+  for (i64 k = 0; k < 1000; ++k) {
+    first.push_back(k * 3);
+  }
+  InsertNumbered(s, first);
+  s.Clear();
+  EXPECT_EQ(s.NumCells(), 0);
+  for (const i64 k : first) {
+    ASSERT_EQ(s.Get(k), nullptr);
+  }
+  std::vector<i64> second;
+  for (i64 k = 0; k < 500; ++k) {
+    second.push_back(k * 3 + 1);
+  }
+  second.push_back(0);  // a key from before the Clear comes back fresh
+  InsertNumbered(s, second);
+  ExpectIndexed(s, second, {3, 6, 2997});
+}
+
+TEST(CellStoreIndex, ReserveThenInsert) {
+  CellStore s(3, CellStore::Layout::kHashed, 0);
+  std::vector<i64> keys;
+  for (i64 k = 0; k < 700; ++k) {
+    keys.push_back(k * 4096 - 100000);
+  }
+  s.Reserve(300);
+  InsertNumbered(s, std::vector<i64>(keys.begin(), keys.begin() + 300));
+  s.Reserve(400);  // mid-way: re-indexes the 300 cells already there
+  ExpectIndexed(s, std::vector<i64>(keys.begin(), keys.begin() + 300), {keys[300]});
+  for (size_t i = 300; i < keys.size(); ++i) {
+    s.GetOrCreate(keys[i])[0] = static_cast<f32>(i);
+  }
+  ExpectIndexed(s, keys, {1, -1});
+}
+
+TEST(CellStoreIndex, CopyAndMoveKeepLookupsValid) {
+  CellStore original(1, CellStore::Layout::kHashed, 0);
+  std::vector<i64> keys;
+  for (i64 k = 0; k < 200; ++k) {
+    keys.push_back(k * k - 50);
+  }
+  InsertNumbered(original, keys);
+
+  CellStore copy = original;
+  *copy.GetOrCreate(keys[0]) = 99.0f;
+  copy.GetOrCreate(123456789);
+  EXPECT_EQ(*original.Get(keys[0]), 0.0f);
+  EXPECT_EQ(original.Get(123456789), nullptr);
+  EXPECT_EQ(*copy.Get(keys[0]), 99.0f);
+  EXPECT_EQ(*copy.Get(keys[199]), 199.0f);
+
+  CellStore moved = std::move(original);
+  ExpectIndexed(moved, keys, {123456789});
+  CellStore assigned;
+  assigned = std::move(moved);
+  ExpectIndexed(assigned, keys, {123456789});
+  assigned.GetOrCreate(-7)[0] = static_cast<f32>(keys.size());
+  keys.push_back(-7);
+  ExpectIndexed(assigned, keys, {123456789});
+
+  CellStore copy_assigned;
+  copy_assigned.GetOrCreate(1);
+  copy_assigned = assigned;
+  ExpectIndexed(copy_assigned, keys, {123456789});
+}
+
+TEST(CellStoreIndex, RefusesMoreCellsThanASlotCanName) {
+  CellStore s(1, CellStore::Layout::kHashed, 0);
+  s.GetOrCreate(1);
+  // The check fires before any allocation, so this costs nothing.
+  EXPECT_DEATH(s.Reserve(i64{1} << 32), "at most");
+}
+
+// ---- Prefetch key dedupe ----
+
+std::vector<i64> SortUniqueReference(std::vector<i64> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+TEST(SortUniqueKeys, BitmapAndSortPathsAgreeOnRandomLists) {
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const i64 total = 1 + rng.NextIndex(trial % 2 == 0 ? 200 : 100000);
+    const i64 n = rng.NextIndex(3 * total / 64 + 40);
+    std::vector<i64> keys;
+    for (i64 i = 0; i < n; ++i) {
+      keys.push_back(rng.NextIndex(total));
+    }
+    const std::vector<i64> want = SortUniqueReference(keys);
+    // `total` picks the bitmap when total / 64 <= n; a huge key space always
+    // sorts. Both must give the reference.
+    std::vector<i64> chosen = keys;
+    SortUniqueKeys(chosen, total);
+    EXPECT_EQ(chosen, want) << "total " << total << " n " << n;
+    std::vector<i64> sorted = keys;
+    SortUniqueKeys(sorted, std::numeric_limits<i64>::max());
+    EXPECT_EQ(sorted, want);
+  }
+}
+
+TEST(SortUniqueKeys, WordBoundariesAndEmpty) {
+  std::vector<i64> none;
+  SortUniqueKeys(none, 64);
+  EXPECT_TRUE(none.empty());
+  std::vector<i64> keys = {127, 64, 63, 0, 128, 63, 191, 0};
+  SortUniqueKeys(keys, 192);
+  EXPECT_EQ(keys, (std::vector<i64>{0, 63, 64, 127, 128, 191}));
+}
+
+TEST(SortUniqueKeys, OutOfRangeKeysTakeTheSortPath) {
+  // A small key space would pick the bitmap; one key below 0 or at/after
+  // `total` must send the whole list down the sort path instead of indexing
+  // the bitmap with it.
+  const std::vector<std::vector<i64>> lists = {
+      {5, -1, 3, 5, 0}, {5, 64, 3, 5, 0}, {std::numeric_limits<i64>::min(), 2, 2},
+      {std::numeric_limits<i64>::max(), 1, 1}, {-64, -65, -64}};
+  for (const auto& list : lists) {
+    std::vector<i64> keys = list;
+    SortUniqueKeys(keys, 64);
+    EXPECT_EQ(keys, SortUniqueReference(list));
   }
 }
 
