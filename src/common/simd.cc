@@ -99,7 +99,7 @@ __attribute__((target("avx2"))) void AddAVX2(f32* dst, const f32* src, size_t n)
 
 #endif  // ORION_SIMD_X86
 
-using KernelFn = void (*)(f32*, const f32*, size_t);
+using internal::KernelFn;
 
 struct Kernels {
   KernelFn copy;
@@ -135,21 +135,28 @@ Level DetectBest() {
 #endif
 }
 
+}  // namespace
+
 // Dispatch state. The function pointers are the only per-call indirection;
 // ForceLevel swaps both atomically enough for tests (every level computes
 // identical results, so a torn read of the pair is still correct). Constant
 // scalar initializers keep calls from other static initializers safe before
 // DispatchInit upgrades to the detected level.
+namespace internal {
 std::atomic<KernelFn> g_copy{CopyScalar};
 std::atomic<KernelFn> g_add{AddScalar};
+}  // namespace internal
+
+namespace {
+
 std::atomic<int> g_level{0};
 
 struct DispatchInit {
   DispatchInit() {
     const Level best = DetectBest();
     const Kernels k = KernelsFor(best);
-    g_copy.store(k.copy, std::memory_order_relaxed);
-    g_add.store(k.add, std::memory_order_relaxed);
+    internal::g_copy.store(k.copy, std::memory_order_relaxed);
+    internal::g_add.store(k.add, std::memory_order_relaxed);
     g_level.store(static_cast<int>(best), std::memory_order_relaxed);
   }
 };
@@ -181,20 +188,12 @@ void ForceLevel(Level level) {
     level = best;
   }
   const Kernels k = KernelsFor(level);
-  g_copy.store(k.copy, std::memory_order_relaxed);
-  g_add.store(k.add, std::memory_order_relaxed);
+  internal::g_copy.store(k.copy, std::memory_order_relaxed);
+  internal::g_add.store(k.add, std::memory_order_relaxed);
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
 void ResetLevel() { ForceLevel(DetectBest()); }
-
-void CopyF32(f32* dst, const f32* src, size_t n) {
-  g_copy.load(std::memory_order_relaxed)(dst, src, n);
-}
-
-void AddF32(f32* dst, const f32* src, size_t n) {
-  g_add.load(std::memory_order_relaxed)(dst, src, n);
-}
 
 }  // namespace simd
 }  // namespace orion

@@ -7,13 +7,15 @@
 // down a level for tests and benchmarks.
 //
 // Determinism contract: AddF32 performs exactly one IEEE-754 addition per
-// lane — dst[i] += src[i] — regardless of dispatch level. Vectorization is
-// across the independent lanes of one cell (value_dim), never across fold
-// order, so accumulation results are bit-for-bit identical to the scalar
-// loop at every level.
+// lane — dst[i] += src[i] — regardless of dispatch level (spans of up to
+// kInlineLanes lanes skip dispatch and run the scalar loop inline).
+// Vectorization is across the independent lanes of one cell (value_dim),
+// never across fold order, so accumulation results are bit-for-bit
+// identical to the scalar loop at every level.
 #ifndef ORION_SRC_COMMON_SIMD_H_
 #define ORION_SRC_COMMON_SIMD_H_
 
+#include <atomic>
 #include <cstddef>
 
 #include "src/common/types.h"
@@ -45,11 +47,41 @@ void ForceLevel(Level level);
 // Restores dispatch to BestSupportedLevel().
 void ResetLevel();
 
+namespace internal {
+using KernelFn = void (*)(f32*, const f32*, size_t);
+// The kernels of the active level. Constant-initialized to the scalar ones,
+// so calls from other static initializers are safe before startup picks
+// the detected level.
+extern std::atomic<KernelFn> g_copy;
+extern std::atomic<KernelFn> g_add;
+}  // namespace internal
+
+// Spans of at most this many lanes (one cell of a scalar or short-vector
+// array) run an inline scalar loop: an indirect call costs more than the
+// lanes. Longer spans call the active level's kernel directly.
+inline constexpr size_t kInlineLanes = 4;
+
 // dst[i] = src[i] for i in [0, n). Spans must not overlap.
-void CopyF32(f32* dst, const f32* src, size_t n);
+inline void CopyF32(f32* dst, const f32* src, size_t n) {
+  if (n > kInlineLanes) {
+    internal::g_copy.load(std::memory_order_relaxed)(dst, src, n);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    dst[i] = src[i];
+  }
+}
 
 // dst[i] += src[i] for i in [0, n). One IEEE add per lane at every level.
-void AddF32(f32* dst, const f32* src, size_t n);
+inline void AddF32(f32* dst, const f32* src, size_t n) {
+  if (n > kInlineLanes) {
+    internal::g_add.load(std::memory_order_relaxed)(dst, src, n);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    dst[i] += src[i];
+  }
+}
 
 }  // namespace simd
 }  // namespace orion

@@ -28,10 +28,21 @@
 //    that), the index points at its first cell.
 // Serialize bytes, iteration order and wire metering depend only on keys_
 // and values_, so they do not see the table.
+//
+// The direct-mapped index: a hashed store may be given a key bound (every
+// key lies in [0, bound)). Whenever bound <= 2x the power-of-two table the
+// hashed index would allocate for its cells, Rehash builds slots_ with one
+// entry per key of the bound instead (slots_[key] = cell index + 1): no
+// hash, no probe, no read-back of keys_, and never more than twice the
+// hashed table's memory. The invariants above hold for both indexes.
+// Inserting a key outside the bound drops the bound for good and rebuilds
+// the hashed index; Get of such a key is nullptr while it is absent. The
+// bound is not serialized, so a deserialized store is unbounded.
 #ifndef ORION_SRC_DSM_CELL_STORE_H_
 #define ORION_SRC_DSM_CELL_STORE_H_
 
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -48,15 +59,18 @@ class CellStore {
   enum class Layout : u8 { kHashed, kFullDense, kDenseRange };
 
   CellStore() : CellStore(1, Layout::kHashed, 0) {}
-  CellStore(i32 value_dim, Layout layout, i64 dense_total)
-      : value_dim_(value_dim), layout_(layout) {
+  // `total`: kFullDense holds the keys [0, total); kHashed takes it as its
+  // key bound (0 = unbounded), which lets large stores index directly.
+  CellStore(i32 value_dim, Layout layout, i64 total) : value_dim_(value_dim), layout_(layout) {
     ORION_CHECK(value_dim > 0);
     ORION_CHECK(layout != Layout::kDenseRange) << "use CellStore::DenseRange";
+    ORION_CHECK(total >= 0);
     if (layout_ == Layout::kFullDense) {
-      ORION_CHECK(dense_total >= 0);
       range_lo_ = 0;
-      range_hi_ = dense_total - 1;
-      values_.assign(static_cast<size_t>(dense_total) * value_dim_, 0.0f);
+      range_hi_ = total - 1;
+      values_.assign(static_cast<size_t>(total) * value_dim_, 0.0f);
+    } else {
+      bound_ = total;
     }
   }
 
@@ -78,6 +92,10 @@ class CellStore {
   bool IsDense() const { return layout_ != Layout::kHashed; }
   i64 range_lo() const { return range_lo_; }
   i64 range_hi() const { return range_hi_; }
+  // Hashed layout: the key bound (0 once dropped or never set), and whether
+  // the index is direct-mapped right now.
+  i64 key_bound() const { return bound_; }
+  bool direct_indexed() const { return direct_; }
 
   i64 NumCells() const {
     return IsDense() ? range_hi_ - range_lo_ + 1 : static_cast<i64>(keys_.size());
@@ -86,8 +104,9 @@ class CellStore {
   // Returns the cell value span, or nullptr if absent (hashed layout only).
   const f32* Get(i64 key) const {
     if (IsDense()) {
-      ORION_CHECK(key >= range_lo_ && key <= range_hi_)
-          << "key" << key << "outside dense range [" << range_lo_ << "," << range_hi_ << "]";
+      if (key < range_lo_ || key > range_hi_) {
+        DenseKeyOutOfRange(key);
+      }
       return values_.data() + static_cast<size_t>(key - range_lo_) * value_dim_;
     }
     const size_t cell = Find(key);
@@ -97,27 +116,18 @@ class CellStore {
   // Returns a mutable span, inserting a zero-initialized cell if absent.
   f32* GetOrCreate(i64 key) {
     if (IsDense()) {
-      ORION_CHECK(key >= range_lo_ && key <= range_hi_)
-          << "key" << key << "outside dense range [" << range_lo_ << "," << range_hi_ << "]";
+      if (key < range_lo_ || key > range_hi_) {
+        DenseKeyOutOfRange(key);
+      }
       return values_.data() + static_cast<size_t>(key - range_lo_) * value_dim_;
     }
-    size_t pos = 0;
-    if (!slots_.empty()) {
-      pos = Probe(key);
-      if (slots_[pos] != 0) {
-        return values_.data() + (slots_[pos] - 1) * static_cast<size_t>(value_dim_);
+    if (direct_ && static_cast<u64>(key) < slots_.size()) {
+      const u32 slot = slots_[static_cast<size_t>(key)];
+      if (slot != 0) {
+        return CellAt(slot - 1);
       }
     }
-    // Grow only on a real insert, so a hit never writes the table.
-    if (2 * (keys_.size() + 1) > slots_.size()) {
-      Rehash(keys_.size() + 1);
-      pos = Probe(key);
-    }
-    const size_t offset = values_.size();
-    slots_[pos] = static_cast<u32>(keys_.size() + 1);
-    values_.resize(offset + static_cast<size_t>(value_dim_), 0.0f);
-    keys_.push_back(key);
-    return values_.data() + offset;
+    return GetOrCreateSlow(key);
   }
 
   bool Contains(i64 key) const {
@@ -184,7 +194,8 @@ class CellStore {
     ORION_CHECK(static_cast<u64>(additional_cells) <= kMaxCells - keys_.size())
         << "a hashed CellStore holds at most" << kMaxCells << "cells";
     const size_t total = keys_.size() + static_cast<size_t>(additional_cells);
-    if (2 * total > slots_.size()) {
+    // A direct index already names every key of the bound.
+    if (!direct_ && 2 * total > slots_.size()) {
       Rehash(total);
     }
     keys_.reserve(total);
@@ -340,6 +351,51 @@ class CellStore {
   // Slots hold cell index + 1 in a u32, so cell indices stop at 2^32 - 2.
   static constexpr size_t kMaxCells = std::numeric_limits<u32>::max();
 
+  [[noreturn, gnu::noinline]] void DenseKeyOutOfRange(i64 key) const {
+    internal::CheckFailStream(__FILE__, __LINE__, "key >= range_lo_ && key <= range_hi_")
+        << "key" << key << "outside dense range [" << range_lo_ << "," << range_hi_ << "]";
+    std::abort();  // not reached: the stream's destructor aborts
+  }
+
+  f32* CellAt(size_t cell) { return values_.data() + cell * static_cast<size_t>(value_dim_); }
+
+  // GetOrCreate past a direct-index hit: direct inserts, out-of-bound keys
+  // and the hashed index. Out of line, so the hit path inlines into callers.
+  [[gnu::noinline]] f32* GetOrCreateSlow(i64 key) {
+    if (direct_ && static_cast<u64>(key) < slots_.size()) {
+      return Append(static_cast<size_t>(key), key);  // the hit path missed
+    }
+    if (bound_ != 0 && static_cast<u64>(key) >= static_cast<u64>(bound_)) {
+      // Out of bound: no direct index can hold this key any more.
+      bound_ = 0;
+      if (direct_) {
+        Rehash(keys_.size() + 1);
+      }
+    }
+    size_t pos = 0;
+    if (!slots_.empty()) {
+      pos = Probe(key);
+      if (slots_[pos] != 0) {
+        return CellAt(slots_[pos] - 1);
+      }
+    }
+    // Grow only on a real insert, so a hit never writes the table.
+    if (2 * (keys_.size() + 1) > slots_.size()) {
+      Rehash(keys_.size() + 1);
+      pos = direct_ ? static_cast<size_t>(key) : Probe(key);
+    }
+    return Append(pos, key);
+  }
+
+  // Appends `key` as a new zero cell indexed at slots_[pos].
+  f32* Append(size_t pos, i64 key) {
+    const size_t offset = values_.size();
+    slots_[pos] = static_cast<u32>(keys_.size() + 1);
+    values_.resize(offset + static_cast<size_t>(value_dim_), 0.0f);
+    keys_.push_back(key);
+    return values_.data() + offset;
+  }
+
   // Table position a probe for `key` starts at: the top bits of a Fibonacci
   // multiplicative hash (the low product bits of a strided key repeat).
   size_t Home(i64 key) const {
@@ -359,6 +415,16 @@ class CellStore {
 
   // Cell index of `key` in keys_/values_, or kAbsent (hashed layout).
   size_t Find(i64 key) const {
+    if (direct_) {
+      const u32 slot =
+          static_cast<u64>(key) < slots_.size() ? slots_[static_cast<size_t>(key)] : 0;
+      return slot == 0 ? kAbsent : slot - 1;
+    }
+    return FindHashed(key);
+  }
+
+  // Find on the hashed index; out of line, so the direct path inlines.
+  [[gnu::noinline]] size_t FindHashed(i64 key) const {
     if (slots_.empty()) {
       return kAbsent;
     }
@@ -367,7 +433,8 @@ class CellStore {
   }
 
   // Rebuilds slots_ at the smallest power of two (>= 16) that keeps
-  // `min_cells` at load <= 1/2, indexing keys_ in order. A key keys_ holds
+  // `min_cells` at load <= 1/2, or as the direct index when the key bound
+  // is at most twice that size, indexing keys_ in order. A key keys_ holds
   // twice keeps its first cell.
   void Rehash(size_t min_cells) {
     ORION_CHECK(min_cells <= kMaxCells) << "a hashed CellStore holds at most" << kMaxCells
@@ -375,6 +442,20 @@ class CellStore {
     int bits = 4;
     while ((size_t{1} << bits) < 2 * min_cells) {
       ++bits;
+    }
+    // bound_ <= kMaxCells: distinct in-bound keys then never outnumber what
+    // a slot can name, so a direct store needs no growth check.
+    const u64 bound = static_cast<u64>(bound_);
+    direct_ = bound != 0 && bound <= kMaxCells && bound <= (u64{2} << bits);
+    if (direct_) {
+      slots_.assign(static_cast<size_t>(bound), 0u);
+      for (size_t cell = 0; cell < keys_.size(); ++cell) {
+        u32& slot = slots_[static_cast<size_t>(keys_[cell])];
+        if (slot == 0) {
+          slot = static_cast<u32>(cell + 1);
+        }
+      }
+      return;
     }
     slots_.assign(size_t{1} << bits, 0u);
     slot_shift_ = 64 - bits;
@@ -390,8 +471,10 @@ class CellStore {
   Layout layout_ = Layout::kHashed;
   i64 range_lo_ = 0;   // dense layouts: first key
   i64 range_hi_ = -1;  // dense layouts: last key (inclusive)
+  i64 bound_ = 0;           // hashed: keys lie in [0, bound_); 0 = unbounded
+  bool direct_ = false;     // slots_ is indexed by key, not by hash
   std::vector<u32> slots_;  // hashed index: cell index + 1, 0 = empty
-  int slot_shift_ = 64;     // 64 - log2(slots_.size())
+  int slot_shift_ = 64;     // 64 - log2(slots_.size()) of the hashed table
   std::vector<i64> keys_;   // insertion order
   std::vector<f32> values_;
 };

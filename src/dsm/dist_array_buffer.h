@@ -34,13 +34,16 @@ BufferCombineFn MakeAddCombineFn();
 
 class DistArrayBuffer {
  public:
+  // `key_bound`: the target's key-space size (keys lie in [0, key_bound)),
+  // the pending store's key bound; 0 = unbounded.
   DistArrayBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply,
-                  BufferCombineFn combine)
+                  BufferCombineFn combine, i64 key_bound = 0)
       : target_(target),
         update_dim_(update_dim),
         apply_(std::move(apply)),
         combine_(std::move(combine)),
-        pending_(update_dim, CellStore::Layout::kHashed, 0) {}
+        key_bound_(key_bound),
+        pending_(update_dim, CellStore::Layout::kHashed, key_bound) {}
 
   DistArrayId target() const { return target_; }
   i32 update_dim() const { return update_dim_; }
@@ -59,9 +62,17 @@ class DistArrayBuffer {
   // touches about as many keys.
   CellStore Drain() {
     CellStore out = std::move(pending_);
-    pending_ = CellStore(update_dim_, CellStore::Layout::kHashed, 0);
+    pending_ = CellStore(update_dim_, CellStore::Layout::kHashed, key_bound_);
     pending_.Reserve(out.NumCells());
     return out;
+  }
+
+  // Applies the pending updates onto `cells` and keeps them pending (a
+  // fresh replica must show this worker's unflushed writes, which are still
+  // owed to the master).
+  template <typename Store>
+  void ApplyPendingTo(Store* cells) const {
+    ApplyTo(cells, pending_, apply_);
   }
 
   // Applies a drained update store onto authoritative cells. Templated so
@@ -81,6 +92,7 @@ class DistArrayBuffer {
   i32 update_dim_;
   BufferApplyFn apply_;
   BufferCombineFn combine_;
+  i64 key_bound_;
   CellStore pending_;
 };
 

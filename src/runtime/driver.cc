@@ -714,7 +714,8 @@ void Driver::ServeParamRequestInline(const ParamRequest& req, WorkerId from) {
   }
   CpuStopwatch sw;
   Message reply =
-      BuildParamReply(req, h.master.Flat(), h.meta.value_dim, fabric_->zero_copy());
+      BuildParamReply(req, h.master.Flat(), h.meta.value_dim, h.meta.key_space.total(),
+                      fabric_->zero_copy());
   reply.to = from;
   last_metrics_.param_serve_seconds += sw.ElapsedSeconds();
   fabric_->Send(std::move(reply));
@@ -1000,7 +1001,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
             h.master.BeginServing();
           }
           param_server_->HandleRequestSnapshot(std::move(req), msg->from, h.master.Pin(),
-                                               h.meta.value_dim);
+                                               h.meta.value_dim, h.meta.key_space.total());
         } else {
           ServeParamRequestInline(req, msg->from);
         }

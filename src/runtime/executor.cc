@@ -81,12 +81,14 @@ class WorkerLoopContext : public LoopContext {
   void BufferUpdate(DistArrayId array, IdxSpan idx, const f32* update) override {
     Resolved& r = Resolve(array);
     const i64 key = r.st->meta.key_space.EncodeUnchecked(idx);
-    DistArrayBuffer& buf = ex_->GetBuffer(array);
-    buf.Accumulate(key, update);
+    if (r.buf == nullptr) {
+      r.buf = &ex_->GetBuffer(array);
+    }
+    r.buf->Accumulate(key, update);
     if (r.scheme == PartitionScheme::kReplicated) {
       // Apply to the local replica immediately so this worker sees its own
       // updates (the flush to the master happens at step end).
-      buf.apply_fn()(r.st->replica.GetOrCreate(key), update, r.st->meta.value_dim);
+      r.buf->apply_fn()(r.st->replica.GetOrCreate(key), update, r.st->meta.value_dim);
     }
   }
 
@@ -98,10 +100,15 @@ class WorkerLoopContext : public LoopContext {
   }
 
  protected:
+  // Per-array lookups cached for the context's lifetime (a pass step):
+  // the buffer and the recorder's key list are found on first use, so the
+  // per-access path does no map lookup.
   struct Resolved {
     PartitionScheme scheme = PartitionScheme::kUnpartitioned;
     Executor::ArrayState* st = nullptr;
     CellStore* store = nullptr;
+    DistArrayBuffer* buf = nullptr;
+    std::vector<i64>* recorded = nullptr;
   };
 
   Resolved& Resolve(DistArrayId array) {
@@ -109,6 +116,12 @@ class WorkerLoopContext : public LoopContext {
         res_[static_cast<size_t>(array)].st != nullptr) {
       return res_[static_cast<size_t>(array)];
     }
+    return ResolveFirst(array);
+  }
+
+  // First access to `array` in this context; out of line, so the cached
+  // lookup above inlines into every access.
+  [[gnu::noinline]] Resolved& ResolveFirst(DistArrayId array) {
     Resolved r;
     r.st = &ex_->GetArray(array);
     if (array == cl_->spec.iter_space) {
@@ -146,10 +159,13 @@ class WorkerLoopContext : public LoopContext {
   }
 
   virtual const f32* ReadServer(Resolved& r, i64 key) {
-    // Dirty (written this step) wins over the prefetched snapshot.
-    const f32* dirty = r.st->server_dirty.Get(key);
-    if (dirty != nullptr) {
-      return dirty;
+    // Dirty (written this step) wins over the prefetched snapshot. Only
+    // wavefront loops write server cells; skip the probe while none are.
+    if (r.st->server_dirty.NumCells() != 0) {
+      const f32* dirty = r.st->server_dirty.Get(key);
+      if (dirty != nullptr) {
+        return dirty;
+      }
     }
     return r.st->prefetch_cache.Get(key);
   }
@@ -189,7 +205,10 @@ class RecordingLoopContext : public WorkerLoopContext {
 
  protected:
   const f32* ReadServer(Resolved& r, i64 key) override {
-    (*recorded_)[r.st->meta.id].push_back(key);
+    if (r.recorded == nullptr) {
+      r.recorded = &(*recorded_)[r.st->meta.id];
+    }
+    r.recorded->push_back(key);
     return nullptr;  // caller substitutes the zero span
   }
 
@@ -231,8 +250,9 @@ DistArrayBuffer& Executor::GetBuffer(DistArrayId target) {
     ORION_CHECK(def != nullptr) << "BufferUpdate on array" << target
                                 << "without a registered DistArray Buffer";
     it = buffers_
-             .emplace(target, std::make_unique<DistArrayBuffer>(target, def->update_dim,
-                                                                def->apply, def->combine))
+             .emplace(target, std::make_unique<DistArrayBuffer>(
+                                  target, def->update_dim, def->apply, def->combine,
+                                  GetArray(target).meta.key_space.total()))
              .first;
   }
   return *it->second;
@@ -424,7 +444,11 @@ void Executor::InstallPartData(PartData pd, MsgKind kind) {
       }
       auto it = slot.buffers.find(pd.array);
       if (it != slot.buffers.end()) {
-        it->second.MergeAdd(pd.cells);  // buffer starts empty: add == install
+        // One request per array per slot, so the landing store is empty:
+        // take the reply's cells (and their index) as they are.
+        ORION_CHECK(it->second.NumCells() == 0)
+            << "second kParamReply for array" << pd.array << "at step" << slot.step;
+        it->second = std::move(pd.cells);
       }
       --slot.outstanding;
       ORION_CHECK(slot.outstanding >= 0)
@@ -444,13 +468,11 @@ void Executor::InstallPartData(PartData pd, MsgKind kind) {
     case PartDataMode::kReplicaSnapshot: {
       st.replica = std::move(pd.cells);
       // Re-apply this worker's unflushed buffered updates so its own recent
-      // writes are not lost under the fresh snapshot.
+      // writes are not lost under the fresh snapshot; they stay pending,
+      // untouched, for the flush to the master.
       auto it = buffers_.find(pd.array);
-      if (it != buffers_.end() && it->second->NumPending() > 0) {
-        // Peek without draining: drain into a copy and put it back.
-        CellStore pending = it->second->Drain();
-        DistArrayBuffer::ApplyTo(&st.replica, pending, it->second->apply_fn());
-        pending.ForEachConst([&](i64 key, const f32* v) { it->second->Accumulate(key, v); });
+      if (it != buffers_.end()) {
+        it->second->ApplyPendingTo(&st.replica);
       }
       break;
     }
@@ -744,11 +766,13 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
       continue;
     }
     const ArrayState& st = GetArray(array);
-    slot.buffers.emplace(array,
-                         CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0));
+    slot.buffers.emplace(array, CellStore(st.meta.value_dim, CellStore::Layout::kHashed,
+                                          st.meta.key_space.total()));
     auto it = recorded.find(array);
-    const std::vector<i64> empty;
-    const std::vector<i64>& keys = it != recorded.end() ? it->second : empty;
+    std::vector<i64> keys;
+    if (it != recorded.end()) {
+      keys = std::move(it->second);
+    }
     if (speculative) {
       // Remember what was requested (sorted/unique from the collector) so
       // the await can intersect it with the dirty ranges of intervening
@@ -765,7 +789,7 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
       if (keys.empty()) {
         continue;
       }
-      ParamRequest req{array, step, keys};
+      ParamRequest req{array, step, std::move(keys)};
       req.per_key = true;
       req.speculative = speculative;
       Message m;
@@ -777,7 +801,7 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
       SendData(std::move(m));
       ++slot.expected;
     } else {
-      ParamRequest req{array, step, keys};
+      ParamRequest req{array, step, std::move(keys)};
       req.speculative = speculative;
       Message m;
       m.from = rank_;
@@ -903,8 +927,8 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
   repair.step = slot.step;
   for (auto& [array, keys] : conflicts) {
     const ArrayState& st = GetArray(array);
-    repair.buffers.emplace(array,
-                           CellStore(st.meta.value_dim, CellStore::Layout::kHashed, 0));
+    repair.buffers.emplace(array, CellStore(st.meta.value_dim, CellStore::Layout::kHashed,
+                                            st.meta.key_space.total()));
     ParamRequest req{array, slot.step, std::move(keys)};
     Message m;
     m.from = rank_;

@@ -30,12 +30,12 @@ void AtomicMax(std::atomic<int>* target, int value) {
 }  // namespace
 
 Message BuildParamReply(const ParamRequest& req, const CellStore& master, i32 value_dim,
-                        bool zero_copy) {
+                        i64 key_bound, bool zero_copy) {
   PartData pd;
   pd.array = req.array;
   pd.part = req.step;
   pd.mode = PartDataMode::kInstallPart;
-  pd.cells = CellStore(value_dim, CellStore::Layout::kHashed, 0);
+  pd.cells = CellStore(value_dim, CellStore::Layout::kHashed, key_bound);
   pd.cells.Reserve(static_cast<i64>(req.keys.size()));
   for (i64 key : req.keys) {
     const f32* v = master.Get(key);
@@ -72,7 +72,7 @@ int ParamServer::StripeOf(i64 key) const {
 
 void ParamServer::HandleRequestSnapshot(ParamRequest req, WorkerId from,
                                         VersionedCellStore::Snapshot snap,
-                                        i32 value_dim) {
+                                        i32 value_dim, i64 key_bound) {
   ORION_CHECK(snap.valid());
   if (req.speculative) {
     speculative_served_.fetch_add(1, std::memory_order_relaxed);
@@ -81,6 +81,7 @@ void ParamServer::HandleRequestSnapshot(ParamRequest req, WorkerId from,
   r->req = std::move(req);
   r->from = from;
   r->value_dim = value_dim;
+  r->key_bound = key_bound;
   r->snap = std::move(snap);
   Start(r);
 }
@@ -166,7 +167,7 @@ void ParamServer::Finish(const std::shared_ptr<Request>& r) {
   pd.array = r->req.array;
   pd.part = r->req.step;
   pd.mode = PartDataMode::kInstallPart;
-  pd.cells = CellStore(r->value_dim, CellStore::Layout::kHashed, 0);
+  pd.cells = CellStore(r->value_dim, CellStore::Layout::kHashed, r->key_bound);
   pd.cells.Reserve(static_cast<i64>(r->req.keys.size()));
   if (!r->shard_hits.empty()) {
     // Start() bucketed the request keys into shard_keys in request order, so

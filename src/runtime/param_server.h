@@ -48,11 +48,12 @@ namespace orion {
 
 // Assembles the kParamReply for `req` against `master`: hits are copied in
 // request-key order (the order the reply store's insertion-ordered layout
-// makes observable) into a store pre-sized for the key list. Shared by the
-// inline serving path and tests; the sharded path assembles from its
-// per-stripe gathers instead.
+// makes observable) into a store pre-sized for the key list, bounded by the
+// array's key-space size `key_bound` (so a large reply indexes directly).
+// Shared by the inline serving path and tests; the sharded path assembles
+// from its per-stripe gathers instead.
 Message BuildParamReply(const ParamRequest& req, const CellStore& master, i32 value_dim,
-                        bool zero_copy);
+                        i64 key_bound, bool zero_copy);
 
 // Per-stripe load stats for one pass (the stripe heatmap).
 struct ParamStripeStats {
@@ -75,8 +76,9 @@ class ParamServer {
   // Non-blocking: enqueues the gather work and returns. The caller pins the
   // version to serve; gathers read it lock-free and the pin is released when
   // the reply has been assembled.
+  // `key_bound` is the array's key-space size, the reply store's key bound.
   void HandleRequestSnapshot(ParamRequest req, WorkerId from,
-                             VersionedCellStore::Snapshot snap, i32 value_dim);
+                             VersionedCellStore::Snapshot snap, i32 value_dim, i64 key_bound);
 
   // Blocks until every in-flight request has been assembled, its reply
   // pushed into the destination inbox, and its snapshot pin released.
@@ -118,6 +120,7 @@ class ParamServer {
     WorkerId from = 0;
     VersionedCellStore::Snapshot snap;
     i32 value_dim = 0;
+    i64 key_bound = 0;
     std::vector<std::vector<i64>> shard_keys;
     // Per-stripe gather results as flat slices in shard-key order: no hashed
     // intermediate store, just value_dim floats and a hit flag per key.

@@ -99,12 +99,19 @@ TEST(Simd, AddMatchesScalarBitForBitAcrossLevels) {
     src[i] = static_cast<f32>(rng.NextGaussian() * 1e3);
     base[i] = static_cast<f32>(rng.NextGaussian() * 1e-3);
   }
-  const size_t sizes[] = {1, 3, 4, 5, 8, 16, 17, 64, 129, 1024, kMax};
+  // n <= simd::kInlineLanes takes the inline loop at every level.
+  const size_t sizes[] = {0, 1, 2, 3, 4, 5, 8, 16, 17, 64, 129, 1024, kMax};
   simd::ForceLevel(simd::Level::kScalar);
   for (size_t n : sizes) {
     for (size_t off = 0; off < 4; ++off) {
       std::vector<f32> want(base);
       simd::AddF32(want.data() + off, src.data() + off, n);
+      std::vector<f32> plain(base);
+      for (size_t i = 0; i < n; ++i) {
+        plain[off + i] += src[off + i];
+      }
+      ASSERT_EQ(std::memcmp(plain.data(), want.data(), want.size() * sizeof(f32)), 0)
+          << "scalar vs plain loop, n=" << n << " off=" << off;
       for (simd::Level level : LevelsToTest()) {
         simd::ForceLevel(level);
         std::vector<f32> got(base);

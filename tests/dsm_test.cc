@@ -6,8 +6,11 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <tuple>
+#include <utility>
 
 #include "src/common/rng.h"
+#include "src/common/simd.h"
 #include "src/dsm/cell_store.h"
 #include "src/dsm/checkpoint.h"
 #include "src/dsm/dist_array_buffer.h"
@@ -250,6 +253,9 @@ TEST(CellStoreIndex, DuplicateKeysInBytesKeepTheFirstCell) {
     } else {
       s = CellStore::Deserialize(&r);
     }
+    // The bytes carry no key bound: the store is unbounded and hashed.
+    EXPECT_EQ(s.key_bound(), 0);
+    EXPECT_FALSE(s.direct_indexed());
     EXPECT_EQ(s.NumCells(), 5);
     EXPECT_EQ(*s.Get(5), 1.0f);
     EXPECT_EQ(*s.Get(9), 2.0f);
@@ -338,6 +344,166 @@ TEST(CellStoreIndex, RefusesMoreCellsThanASlotCanName) {
   s.GetOrCreate(1);
   // The check fires before any allocation, so this costs nothing.
   EXPECT_DEATH(s.Reserve(i64{1} << 32), "at most");
+}
+
+// ---- Direct-mapped index (hashed store with a key bound) ----
+
+TEST(CellStoreIndex, DirectIndexAtTheTwoTimesEdge) {
+  // The hashed table for n cells has 2^bits >= max(16, 2n) slots; a bound
+  // of at most twice that indexes directly.
+  for (const i64 bound : {i64{32}, i64{33}}) {
+    SCOPED_TRACE(bound);
+    CellStore s(1, CellStore::Layout::kHashed, bound);
+    EXPECT_EQ(s.key_bound(), bound);
+    std::vector<i64> keys;
+    for (i64 i = 0; i < bound; ++i) {
+      keys.push_back((i * 7) % bound);  // 7 is coprime to 32 and 33
+    }
+    for (size_t n = 1; n <= keys.size(); ++n) {
+      s.GetOrCreate(keys[n - 1])[0] = static_cast<f32>(n - 1);
+      // 16 slots up to 8 cells, 32 up to 16, then 64.
+      const i64 hashed_slots = n <= 8 ? 16 : n <= 16 ? 32 : 64;
+      ASSERT_EQ(s.direct_indexed(), bound <= 2 * hashed_slots) << "cells " << n;
+    }
+    ExpectIndexed(s, keys, {-1, bound, bound + 1});
+  }
+  // Reserve picks the index for the reserved size up front.
+  for (const auto& [reserve, bound, direct] :
+       {std::tuple{i64{100}, i64{512}, true}, std::tuple{i64{100}, i64{513}, false},
+        std::tuple{i64{129}, i64{513}, true}}) {
+    CellStore s(2, CellStore::Layout::kHashed, bound);
+    s.Reserve(reserve);
+    EXPECT_EQ(s.direct_indexed(), direct) << reserve << " " << bound;
+  }
+  // Unbounded stores never index directly.
+  CellStore unbounded(1, CellStore::Layout::kHashed, 0);
+  InsertNumbered(unbounded, {0, 1, 2, 3});
+  EXPECT_FALSE(unbounded.direct_indexed());
+}
+
+TEST(CellStoreIndex, OutOfBoundInsertDemotesToHashed) {
+  // From a direct index.
+  CellStore s(2, CellStore::Layout::kHashed, 100);
+  std::vector<i64> keys;
+  for (i64 k = 99; k >= 0; --k) {
+    keys.push_back(k);
+  }
+  InsertNumbered(s, keys);
+  ASSERT_TRUE(s.direct_indexed());
+  for (const i64 k : {i64{100}, i64{-1}, std::numeric_limits<i64>::min(), i64{1} << 40}) {
+    s.GetOrCreate(k)[0] = static_cast<f32>(keys.size());
+    keys.push_back(k);
+    EXPECT_FALSE(s.direct_indexed());
+    EXPECT_EQ(s.key_bound(), 0);
+    ExpectIndexed(s, keys, {101, -2});
+  }
+  // From a bounded store still on the hashed index: the bound is dropped,
+  // so growing past the edge later stays hashed.
+  CellStore t(1, CellStore::Layout::kHashed, 1000);
+  InsertNumbered(t, {1, 2, 3});
+  ASSERT_FALSE(t.direct_indexed());
+  std::vector<i64> more = {1, 2, 3, 1000};
+  t.GetOrCreate(1000)[0] = 3.0f;
+  EXPECT_EQ(t.key_bound(), 0);
+  for (i64 k = 4; k < 1000; ++k) {
+    t.GetOrCreate(k)[0] = static_cast<f32>(more.size());
+    more.push_back(k);
+  }
+  EXPECT_FALSE(t.direct_indexed());
+  ExpectIndexed(t, more, {0, 1001, -1});
+}
+
+TEST(CellStoreIndex, OutOfBoundGetIsNull) {
+  CellStore s(1, CellStore::Layout::kHashed, 64);
+  std::vector<i64> keys;
+  for (i64 k = 0; k < 64; k += 2) {
+    keys.push_back(k);
+  }
+  InsertNumbered(s, keys);
+  ASSERT_TRUE(s.direct_indexed());
+  ExpectIndexed(s, keys,
+                {1, 63, 64, 65, -1, -64, std::numeric_limits<i64>::min(),
+                 std::numeric_limits<i64>::max()});
+  // Lookups never write: the store is still direct with the same cells.
+  EXPECT_TRUE(s.direct_indexed());
+  EXPECT_EQ(s.key_bound(), 64);
+}
+
+TEST(CellStoreIndex, SerializeBytesDoNotSeeTheBound) {
+  // The same inserts and updates with and without a bound give the same
+  // bytes, order and values, on the direct index and after a demotion.
+  Rng rng(5);
+  CellStore bounded(3, CellStore::Layout::kHashed, 2000);
+  CellStore plain(3, CellStore::Layout::kHashed, 0);
+  bool saw_direct = false;
+  auto bytes = [](const CellStore& s) {
+    ByteWriter w;
+    s.Serialize(&w);
+    return w.Take();
+  };
+  for (int i = 0; i < 3000; ++i) {
+    const i64 key = i == 2500 ? 2000 : rng.NextIndex(2000);  // one out-of-bound key
+    const f32 add[3] = {static_cast<f32>(i), 0.5f, -1.0f};
+    simd::AddF32(bounded.GetOrCreate(key), add, 3);
+    simd::AddF32(plain.GetOrCreate(key), add, 3);
+    saw_direct |= bounded.direct_indexed();
+    if (i % 500 == 499) {
+      ASSERT_EQ(bounded.SerializedBytes(), plain.SerializedBytes());
+      ASSERT_EQ(bytes(bounded), bytes(plain)) << "after " << i + 1;
+    }
+  }
+  EXPECT_TRUE(saw_direct);
+  EXPECT_FALSE(bounded.direct_indexed());
+  EXPECT_EQ(bounded.keys(), plain.keys());
+  EXPECT_EQ(bounded.raw_values(), plain.raw_values());
+  const std::vector<u8> encoded = bytes(bounded);
+  ByteReader r(encoded);
+  CellStore back = CellStore::Deserialize(&r);
+  EXPECT_EQ(bytes(back), bytes(plain));
+}
+
+TEST(CellStoreIndex, ClearAndReserveAfterDirectRebuild) {
+  CellStore s(2, CellStore::Layout::kHashed, 300);
+  s.Reserve(200);
+  ASSERT_TRUE(s.direct_indexed());
+  std::vector<i64> first;
+  for (i64 k = 0; k < 300; k += 3) {
+    first.push_back(k);
+  }
+  InsertNumbered(s, first);
+  s.Clear();
+  EXPECT_EQ(s.NumCells(), 0);
+  EXPECT_TRUE(s.direct_indexed());
+  for (const i64 k : first) {
+    ASSERT_EQ(s.Get(k), nullptr);
+  }
+  std::vector<i64> second = {299, 0, 150, 1, 3};
+  InsertNumbered(s, second);
+  ExpectIndexed(s, second, {6, 298, 300});
+  // Reserving more than the bound has keys keeps the direct index.
+  s.Reserve(5000);
+  EXPECT_TRUE(s.direct_indexed());
+  ExpectIndexed(s, second, {6, 298, 300});
+  for (i64 k = 0; k < 300; ++k) {
+    s.GetOrCreate(k);
+  }
+  EXPECT_EQ(s.NumCells(), 300);
+  EXPECT_EQ(s.Get(299)[0], 0.0f);
+  EXPECT_EQ(s.Get(3)[0], 4.0f);
+  CellStore copy = s;
+  EXPECT_TRUE(copy.direct_indexed());
+  EXPECT_EQ(copy.keys(), s.keys());
+}
+
+TEST(CellStoreIndex, BoundedStoreRefusesMoreCellsThanASlotCanName) {
+  CellStore s(1, CellStore::Layout::kHashed, 64);
+  InsertNumbered(s, {1, 2, 3, 4, 5, 6, 7, 8, 9});
+  ASSERT_TRUE(s.direct_indexed());
+  EXPECT_DEATH(s.Reserve(i64{1} << 32), "at most");
+  // A bound far above the cell count never indexes directly.
+  CellStore huge(1, CellStore::Layout::kHashed, i64{1} << 40);
+  InsertNumbered(huge, {0, 1, 2});
+  EXPECT_FALSE(huge.direct_indexed());
 }
 
 // ---- Prefetch key dedupe ----
@@ -483,6 +649,46 @@ TEST(Buffer, CustomApplyUdf) {
   target.GetOrCreate(1)[0] = 3.0f;
   DistArrayBuffer::ApplyTo(&target, buf.Drain(), buf.apply_fn());
   EXPECT_FLOAT_EQ(target.Get(1)[0], 5.0f);
+}
+
+TEST(Buffer, ApplyPendingLeavesNonAdditiveUpdatesUntouched) {
+  // A replica refresh applies the unflushed updates and must leave them
+  // pending exactly as they were. Re-buffering drained updates onto fresh
+  // zero cells keeps them only for combines with combine(0, v) == v; a
+  // gradient sum with an update count, or a sum of squares, is not one.
+  const BufferCombineFn sum_and_count = [](f32* pending, const f32* incoming, i32) {
+    pending[0] += incoming[0];
+    pending[1] += 1.0f;
+  };
+  const BufferCombineFn sum_of_squares = [](f32* pending, const f32* incoming, i32 dim) {
+    for (i32 d = 0; d < dim; ++d) {
+      pending[d] += incoming[d] * incoming[d];
+    }
+  };
+  for (const BufferCombineFn& combine : {sum_and_count, sum_of_squares}) {
+    auto fill = [](DistArrayBuffer* buf) {
+      const f32 updates[3][2] = {{-2.0f, 0.5f}, {-5.0f, 0.25f}, {1.5f, 2.0f}};
+      const i64 keys[3] = {3, 3, 4};
+      for (int i = 0; i < 3; ++i) {
+        buf->Accumulate(keys[i], updates[i]);
+      }
+    };
+    DistArrayBuffer reference(7, 2, MakeAddApplyFn(), combine, /*key_bound=*/16);
+    DistArrayBuffer buf(7, 2, MakeAddApplyFn(), combine, /*key_bound=*/16);
+    fill(&reference);
+    fill(&buf);
+    const CellStore want = reference.Drain();
+    CellStore replica(2, CellStore::Layout::kHashed, 0);
+    replica.GetOrCreate(3)[0] = 100.0f;
+    buf.ApplyPendingTo(&replica);
+    EXPECT_EQ(replica.Get(3)[0], 100.0f + want.Get(3)[0]);
+    EXPECT_EQ(replica.Get(3)[1], want.Get(3)[1]);
+    EXPECT_EQ(replica.Get(4)[0], want.Get(4)[0]);
+    EXPECT_EQ(buf.NumPending(), 2);
+    const CellStore got = buf.Drain();
+    EXPECT_EQ(got.keys(), want.keys());
+    EXPECT_EQ(got.raw_values(), want.raw_values());
+  }
 }
 
 // ---- Randomize ----

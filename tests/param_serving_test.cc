@@ -383,7 +383,7 @@ TEST(PerKeyMetering, CoalescedReplyChargesLikeStorm) {
   for (i64 key : keys) {
     ParamRequest req{4, 2, {key}};
     req.per_key = true;
-    Message reply = BuildParamReply(req, master, kDim, /*zero_copy=*/false);
+    Message reply = BuildParamReply(req, master, kDim, /*key_bound=*/0, /*zero_copy=*/false);
     reply.to = 0;
     storm.Send(std::move(reply));
   }
@@ -392,7 +392,7 @@ TEST(PerKeyMetering, CoalescedReplyChargesLikeStorm) {
   {
     ParamRequest req{4, 2, keys};
     req.per_key = true;
-    Message reply = BuildParamReply(req, master, kDim, /*zero_copy=*/false);
+    Message reply = BuildParamReply(req, master, kDim, /*key_bound=*/0, /*zero_copy=*/false);
     reply.to = 0;
     coalesced.Send(std::move(reply));
   }
@@ -430,7 +430,7 @@ TEST(PerKeyMetering, BuildParamReplyPreservesKeyOrder) {
     v[1] = static_cast<f32>(-key);
   }
   ParamRequest req{0, 0, {9, 4, 1, 5}};  // 4 misses
-  Message reply = BuildParamReply(req, master, kDim, /*zero_copy=*/false);
+  Message reply = BuildParamReply(req, master, kDim, /*key_bound=*/0, /*zero_copy=*/false);
   PartData pd = TakePart(reply);
   EXPECT_EQ(pd.cells.keys(), (std::vector<i64>{9, 1, 5}));  // request order, misses skipped
 }
@@ -451,6 +451,16 @@ void ExpectSameReply(Message want, Message got, const std::string& what) {
   const PartData got_pd = TakePart(got);
   EXPECT_EQ(got_pd.cells.keys(), want_pd.cells.keys()) << what;
   EXPECT_EQ(got_pd.Encode(), want_pd.Encode()) << what;
+  // Zero-copy replies keep their store, bound and index included.
+  EXPECT_EQ(got_pd.cells.key_bound(), want_pd.cells.key_bound()) << what;
+  EXPECT_EQ(got_pd.cells.direct_indexed(), want_pd.cells.direct_indexed()) << what;
+  for (i64 key : want_pd.cells.keys()) {
+    ASSERT_NE(got_pd.cells.Get(key), nullptr) << what << " key " << key;
+    EXPECT_EQ(std::memcmp(got_pd.cells.Get(key), want_pd.cells.Get(key),
+                          static_cast<size_t>(want_pd.cells.value_dim()) * sizeof(f32)),
+              0)
+        << what << " key " << key;
+  }
 }
 
 TEST(ParamServerUnit, SnapshotReplyMatchesBuildParamReply) {
@@ -485,6 +495,9 @@ TEST(ParamServerUnit, SnapshotReplyMatchesBuildParamReply) {
     std::vector<i64> keys;
     bool per_key = false;
   };
+  // Key-space sizes for bounded replies: every stored key lies below them.
+  constexpr i64 kDenseBound = 900;
+  constexpr i64 kHashedBound = 100003;
   const std::vector<i64> dense_reversed(dense_keys.rbegin(), dense_keys.rend());
   std::vector<i64> hashed_mixed;
   for (size_t i = 0; i < hashed_keys.size(); i += 3) {
@@ -504,29 +517,41 @@ TEST(ParamServerUnit, SnapshotReplyMatchesBuildParamReply) {
       {"hashed_empty", &hashed, {}},
   };
 
+  int direct_replies = 0;
   for (bool zero_copy : {false, true}) {
     for (int shards : {1, 3, 4}) {
       Fabric fabric(/*num_workers=*/2);
       fabric.SetZeroCopy(zero_copy);
       ParamServer server(&fabric, shards, /*num_workers=*/2);
-      for (const Case& c : cases) {
-        const std::string what = c.name + " shards=" + std::to_string(shards) +
-                                 " zero_copy=" + std::to_string(zero_copy);
-        VersionedCellStore store{CellStore(*c.master)};
-        store.BeginServing();
-        ParamRequest req{/*array=*/7, /*step=*/3, c.keys};
-        req.per_key = c.per_key;
-        Message want = BuildParamReply(req, *c.master, kDim, zero_copy);
-        server.HandleRequestSnapshot(req, kFrom, store.Pin(), kDim);
-        server.Quiesce();
-        std::optional<Message> got = fabric.TryRecv(kFrom);
-        ASSERT_TRUE(got.has_value()) << what;
-        EXPECT_EQ(got->to, kFrom) << what;
-        ExpectSameReply(std::move(want), std::move(*got), what);
-        EXPECT_FALSE(fabric.TryRecv(kFrom).has_value()) << what;
+      for (bool bounded : {false, true}) {
+        for (const Case& c : cases) {
+          const i64 bound = !bounded ? 0 : c.master == &dense ? kDenseBound : kHashedBound;
+          const std::string what = c.name + " shards=" + std::to_string(shards) +
+                                   " zero_copy=" + std::to_string(zero_copy) +
+                                   " bound=" + std::to_string(bound);
+          VersionedCellStore store{CellStore(*c.master)};
+          store.BeginServing();
+          ParamRequest req{/*array=*/7, /*step=*/3, c.keys};
+          req.per_key = c.per_key;
+          Message want = BuildParamReply(req, *c.master, kDim, bound, zero_copy);
+          if (zero_copy && bounded) {
+            const auto* z = static_cast<const ZeroCopyPart*>(want.zc.get());
+            direct_replies += z->pd.cells.direct_indexed() ? 1 : 0;
+          }
+          server.HandleRequestSnapshot(req, kFrom, store.Pin(), kDim, bound);
+          server.Quiesce();
+          std::optional<Message> got = fabric.TryRecv(kFrom);
+          ASSERT_TRUE(got.has_value()) << what;
+          EXPECT_EQ(got->to, kFrom) << what;
+          ExpectSameReply(std::move(want), std::move(*got), what);
+          EXPECT_FALSE(fabric.TryRecv(kFrom).has_value()) << what;
+        }
       }
     }
   }
+  // The 800-key dense reply fills a table whose bound (900) is within 2x of
+  // the hashed size, so bounded zero-copy replies do reach the direct index.
+  EXPECT_GT(direct_replies, 0);
 }
 
 }  // namespace
