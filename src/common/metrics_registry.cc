@@ -152,10 +152,22 @@ std::map<std::string, std::vector<double>> MetricsRegistry::SeriesSnapshot() con
 }
 
 std::string MetricsRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);  // one consistent cut vs. mutators
+  // Copy one consistent cut under the lock and render it outside: a writer
+  // appending to a long series waits for the copy, not for the formatting.
+  std::map<std::string, u64> counters;
+  std::map<std::string, double> gauges;
+  std::map<std::string, WaitHistogram> histograms;
+  std::map<std::string, std::vector<double>> series;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    counters = counters_;
+    gauges = gauges_;
+    histograms = histograms_;
+    series = series_;
+  }
   std::string out = "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, v] : counters_) {
+  for (const auto& [name, v] : counters) {
     if (!first) out += ",";
     first = false;
     out += "\"";
@@ -164,7 +176,7 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "},\"gauges\":{";
   first = true;
-  for (const auto& [name, v] : gauges_) {
+  for (const auto& [name, v] : gauges) {
     if (!first) out += ",";
     first = false;
     out += "\"";
@@ -173,7 +185,7 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "},\"histograms\":{";
   first = true;
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, h] : histograms) {
     if (!first) out += ",";
     first = false;
     out += "\"";
@@ -193,7 +205,7 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "},\"series\":{";
   first = true;
-  for (const auto& [name, points] : series_) {
+  for (const auto& [name, points] : series) {
     if (!first) out += ",";
     first = false;
     out += "\"";

@@ -43,7 +43,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -140,7 +139,7 @@ class CellStore {
   // Visits cells in a deterministic order (insertion order for hashed,
   // key order for dense). Templated so hot loops inline the body.
   template <typename F>
-  void ForEachFast(F&& fn) {
+  void ForEach(F&& fn) {
     if (IsDense()) {
       for (i64 k = range_lo_; k <= range_hi_; ++k) {
         fn(k, values_.data() + static_cast<size_t>(k - range_lo_) * value_dim_);
@@ -153,27 +152,8 @@ class CellStore {
     }
   }
 
-  void ForEach(const std::function<void(i64 key, f32* value)>& fn) {
-    if (IsDense()) {
-      for (i64 k = range_lo_; k <= range_hi_; ++k) {
-        fn(k, values_.data() + static_cast<size_t>(k - range_lo_) * value_dim_);
-      }
-      return;
-    }
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      fn(keys_[i], values_.data() + i * static_cast<size_t>(value_dim_));
-    }
-  }
-
-  void ForEachConst(const std::function<void(i64 key, const f32* value)>& fn) const {
-    const_cast<CellStore*>(this)->ForEach(
-        [&fn](i64 key, f32* value) { fn(key, value); });
-  }
-
-  // Const counterpart of ForEachFast: templated so bulk merges and buffer
-  // applies inline the body instead of bouncing through std::function.
   template <typename F>
-  void ForEachConstFast(F&& fn) const {
+  void ForEachConst(F&& fn) const {
     if (IsDense()) {
       for (i64 k = range_lo_; k <= range_hi_; ++k) {
         fn(k, values_.data() + static_cast<size_t>(k - range_lo_) * value_dim_);
@@ -204,7 +184,8 @@ class CellStore {
 
   // Visits the `chunk`-th of `num_chunks` contiguous slices of the cell
   // sequence (hashed layout; used for bounded-delay sync rounds).
-  void ForEachSlice(int chunk, int num_chunks, const std::function<void(i64 key, f32* value)>& fn) {
+  template <typename F>
+  void ForEachSlice(int chunk, int num_chunks, F&& fn) {
     ORION_CHECK(layout_ == Layout::kHashed);
     ORION_CHECK(chunk >= 0 && chunk < num_chunks);
     const size_t n = keys_.size();
@@ -335,7 +316,7 @@ class CellStore {
   void MergeAdd(const CellStore& other) {
     ORION_CHECK(other.value_dim_ == value_dim_);
     Reserve(other.NumCells());
-    other.ForEachConstFast([this](i64 key, const f32* v) {
+    other.ForEachConst([this](i64 key, const f32* v) {
       simd::AddF32(GetOrCreate(key), v, static_cast<size_t>(value_dim_));
     });
   }

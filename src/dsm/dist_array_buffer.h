@@ -14,6 +14,7 @@
 #include <string>
 #include <utility>
 
+#include "src/common/simd.h"
 #include "src/dsm/cell_store.h"
 
 namespace orion {
@@ -27,21 +28,14 @@ using BufferApplyFn = std::function<void(f32* cell, const f32* update, i32 value
 // The default apply: cell += update (update_dim == value_dim).
 BufferApplyFn MakeAddApplyFn();
 
-// Combines two pending updates for the same key inside the buffer before
-// flush (update coalescing). Default is element-wise addition.
-using BufferCombineFn = std::function<void(f32* pending, const f32* incoming, i32 update_dim)>;
-BufferCombineFn MakeAddCombineFn();
-
 class DistArrayBuffer {
  public:
   // `key_bound`: the target's key-space size (keys lie in [0, key_bound)),
   // the pending store's key bound; 0 = unbounded.
-  DistArrayBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply,
-                  BufferCombineFn combine, i64 key_bound = 0)
+  DistArrayBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply, i64 key_bound = 0)
       : target_(target),
         update_dim_(update_dim),
         apply_(std::move(apply)),
-        combine_(std::move(combine)),
         key_bound_(key_bound),
         pending_(update_dim, CellStore::Layout::kHashed, key_bound) {}
 
@@ -49,10 +43,10 @@ class DistArrayBuffer {
   i32 update_dim() const { return update_dim_; }
   const BufferApplyFn& apply_fn() const { return apply_; }
 
-  // Buffers an update for `key`, coalescing with any pending update.
+  // Buffers an update for `key`, coalescing with any pending update by
+  // element-wise addition.
   void Accumulate(i64 key, const f32* update) {
-    f32* slot = pending_.GetOrCreate(key);
-    combine_(slot, update, update_dim_);
+    simd::AddF32(pending_.GetOrCreate(key), update, static_cast<size_t>(update_dim_));
   }
 
   i64 NumPending() const { return pending_.NumCells(); }
@@ -82,7 +76,7 @@ class DistArrayBuffer {
   static void ApplyTo(Store* cells, const CellStore& updates, const BufferApplyFn& apply) {
     cells->Reserve(updates.NumCells());
     const i32 value_dim = cells->value_dim();
-    updates.ForEachConstFast([&](i64 key, const f32* update) {
+    updates.ForEachConst([&](i64 key, const f32* update) {
       apply(cells->GetOrCreate(key), update, value_dim);
     });
   }
@@ -91,7 +85,6 @@ class DistArrayBuffer {
   DistArrayId target_;
   i32 update_dim_;
   BufferApplyFn apply_;
-  BufferCombineFn combine_;
   i64 key_bound_;
   CellStore pending_;
 };

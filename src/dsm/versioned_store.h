@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -369,23 +368,10 @@ class VersionedCellStore {
     }
   }
 
-  void MergeAdd(const CellStore& other) {
-    if (!paged_) {
-      flat_.MergeAdd(other);
-      return;
-    }
-    ORION_CHECK(other.value_dim() == vdim_);
-    other.ForEachConstFast([this](i64 key, const f32* v) {
-      // One IEEE add per lane of this cell — vector width never changes the
-      // fold order, so results match the scalar loop bit-for-bit.
-      simd::AddF32(GetOrCreate(key), v, static_cast<size_t>(vdim_));
-    });
-  }
-
   template <typename F>
-  void ForEachConstFast(F&& fn) const {
+  void ForEachConst(F&& fn) const {
     if (!paged_) {
-      flat_.ForEachConstFast(std::forward<F>(fn));
+      flat_.ForEachConst(std::forward<F>(fn));
       return;
     }
     if (layout_ != CellStore::Layout::kHashed) {
@@ -397,10 +383,6 @@ class VersionedCellStore {
     for (size_t i = 0; i < keys_.size(); ++i) {
       fn(keys_[i], SlotPtr(static_cast<i64>(i)));
     }
-  }
-
-  void ForEachConst(const std::function<void(i64 key, const f32* value)>& fn) const {
-    ForEachConstFast([&fn](i64 key, const f32* v) { fn(key, v); });
   }
 
   // ---- Delta export (durability log) ----

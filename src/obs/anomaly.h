@@ -4,12 +4,13 @@
 // arrival lands, and per pass, each rank's compute seconds (PassDone). The
 // detector consumes those as "rounds": one (rank, seconds) vector per step
 // or pass. For each round it computes the cross-rank median and MAD, and a
-// rank whose positive deviation exceeds max(k * MAD, floor_seconds) for
-// m consecutive rounds is flagged a straggler. The MAD term adapts to the
-// workload's natural skew; the absolute floor keeps microsecond-scale noise
-// from ever flagging; the consecutive-round confirmation filters one-off
-// spikes (a dropped-and-retransmitted barrier message under chaos testing
-// delays one round, not m in a row on the same rank). Flags are sticky the
+// rank whose positive deviation exceeds max(k * MAD, floor) for m
+// consecutive rounds is flagged a straggler (k = 4, floor = 2 ms, m = 3).
+// The MAD term adapts to the workload's natural skew; the absolute floor
+// keeps microsecond-scale noise from ever flagging; the consecutive-round
+// confirmation filters one-off spikes (a dropped-and-retransmitted barrier
+// message under chaos testing delays one round, not m in a row on the same
+// rank). Flags are sticky the
 // same way: a confirmed straggler unflags only after m consecutive in-band
 // rounds, so one healthy observation (e.g. a pass-level compute round
 // between skewed step-level barrier rounds) cannot flap the verdict.
@@ -32,17 +33,8 @@
 namespace orion {
 namespace obs {
 
-struct StragglerOptions {
-  double k_mad = 4.0;           // deviation threshold multiplier
-  double floor_seconds = 2e-3;  // absolute deviation floor
-  int confirm_rounds = 3;       // consecutive rounds over threshold to flag
-  double ewma_alpha = 0.2;      // per-rank lag baseline smoothing
-};
-
 class StragglerDetector {
  public:
-  explicit StragglerDetector(StragglerOptions options = {});
-
   void Reset();
 
   // One observation round: (physical rank, seconds) for every rank that
@@ -75,7 +67,6 @@ class StragglerDetector {
     double lag_ewma = 0.0;
   };
 
-  StragglerOptions options_;
   std::map<int, RankState> ranks_;
   std::vector<int> newly_flagged_;
   u64 rounds_ = 0;

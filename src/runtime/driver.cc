@@ -240,13 +240,11 @@ Status Driver::Restore(DistArrayId id, const std::string& path) {
 // ---------------------------------------------------------------------------
 // Buffers & accumulators
 
-void Driver::RegisterBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply,
-                            BufferCombineFn combine) {
+void Driver::RegisterBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply) {
   auto def = std::make_shared<BufferDef>();
   def->target = target;
   def->update_dim = update_dim;
   def->apply = std::move(apply);
-  def->combine = std::move(combine);
   dir_.PutBufferDef(std::move(def));
 }
 
@@ -504,7 +502,7 @@ void Driver::GatherToDriver(DistArrayId id) {
         << "unexpected message during gather:" << static_cast<int>(msg->kind);
     PartData pd = TakePart(*msg);
     ORION_CHECK(pd.array == id && pd.mode == PartDataMode::kOverwrite);
-    pd.cells.ForEachConstFast([&](i64 key, const f32* v) {
+    pd.cells.ForEachConst([&](i64 key, const f32* v) {
       simd::CopyF32(h.master.GetOrCreate(key), v,
                     static_cast<size_t>(h.meta.value_dim));
     });
@@ -759,13 +757,10 @@ void Driver::ApplyParamUpdate(const CompiledLoop* cl, PartData pd, u32 tag) {
   ArrayHost& h = Host(pd.array);
   switch (pd.mode) {
     case PartDataMode::kOverwrite:
-      pd.cells.ForEachConstFast([&](i64 key, const f32* v) {
+      pd.cells.ForEachConst([&](i64 key, const f32* v) {
         simd::CopyF32(h.master.GetOrCreate(key), v,
                       static_cast<size_t>(h.meta.value_dim));
       });
-      break;
-    case PartDataMode::kApplyAdd:
-      h.master.MergeAdd(pd.cells);
       break;
     case PartDataMode::kApplyBufferUdf: {
       auto def = dir_.GetBufferDef(pd.array);
@@ -957,10 +952,9 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
           m.from = kMasterRank;
           m.to = w;
           m.kind = MsgKind::kControl;
-          m.payload =
-              StartPass{cl.loop_id, pass, pass_prefetch_depth_, pass_spec_depth_}.Encode();
+          m.payload = StartPass{cl.loop_id, pass, pass_spec_depth_}.Encode();
           fabric_->SendReliable(std::move(m));
-          retry_delay[w] *= sup.retry_backoff_factor;
+          retry_delay[w] *= kRetryBackoffFactor;
           next_retry[w] = now + retry_delay[w];
         }
         if (now >= next_ping[w]) {
@@ -1015,7 +1009,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
           // consumed; the summary rides on the step's barrier release.
           std::vector<i64> keys;
           keys.reserve(pd.cells.NumCells());
-          pd.cells.ForEachConstFast([&](i64 key, const f32*) { keys.push_back(key); });
+          pd.cells.ForEachConst([&](i64 key, const f32*) { keys.push_back(key); });
           step_dirty[msg->tag].AddKeys(pd.array, std::move(keys));
         }
         auto pit = cl.plan.placements.find(pd.array);
@@ -1038,7 +1032,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
         started[msg->from] = true;
         PartData pd = TakePart(*msg);
         ArrayHost& h = Host(pd.array);
-        pd.cells.ForEachConstFast([&](i64 key, const f32* v) {
+        pd.cells.ForEachConst([&](i64 key, const f32* v) {
           simd::CopyF32(h.master.GetOrCreate(key), v,
                         static_cast<size_t>(h.meta.value_dim));
         });
@@ -1109,8 +1103,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
             m.from = kMasterRank;
             m.to = msg->from;
             m.kind = MsgKind::kControl;
-            m.payload =
-                StartPass{cl.loop_id, pass, pass_prefetch_depth_, pass_spec_depth_}.Encode();
+            m.payload = StartPass{cl.loop_id, pass, pass_spec_depth_}.Encode();
             fabric_->SendReliable(std::move(m));
           }
           break;
@@ -1118,57 +1111,43 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
         if (op != ControlOp::kPassDone) {
           break;  // stray control traffic (e.g. a late retire ack)
         }
-        ByteReader r(msg->payload);
-        r.Get<u16>();
-        const i32 done_loop = r.Get<i32>();
-        const i32 done_pass = r.Get<i32>();
-        if (done_pass != pass || done[msg->from]) {
+        PassDone report = PassDone::Decode(msg->payload);
+        if (report.pass != pass || done[msg->from]) {
           break;  // duplicate or stale PassDone
         }
-        (void)done_loop;
-        const double compute = r.Get<double>();
-        const double wait = r.Get<double>();
-        const double overlap_send = r.Get<double>();
-        const double prefetch_hidden = r.Get<double>();
-        const i32 ring_used = r.Get<i32>();
-        WaitHistogram reply_wait = WaitHistogram::Deserialize(&r);
-        worker_accum[msg->from] = r.GetVec<f64>();
-        if (!r.AtEnd()) {
-          // Piggybacked tracer spans. The done[] dedupe above already ran, so
-          // an injector-duplicated PassDone never appends twice.
-          std::vector<trace::Span> spans = trace::DeserializeSpans(&r);
-          cluster_trace_.insert(cluster_trace_.end(),
-                                std::make_move_iterator(spans.begin()),
-                                std::make_move_iterator(spans.end()));
-        }
-        if (!r.AtEnd()) {
-          // Speculation report: counts/bytes sum across workers, times are
-          // maxima like the other per-worker time metrics.
-          last_metrics_.spec_issued += r.Get<u32>();
-          last_metrics_.spec_conflicts += r.Get<u32>();
-          last_metrics_.spec_repair_bytes += r.Get<u64>();
-          last_metrics_.spec_hidden_seconds =
-              std::max(last_metrics_.spec_hidden_seconds, r.Get<double>());
-          last_metrics_.spec_wait_seconds =
-              std::max(last_metrics_.spec_wait_seconds, r.Get<double>());
-        }
+        worker_accum[msg->from] = std::move(report.accumulators);
+        // Piggybacked tracer spans. The done[] dedupe above already ran, so
+        // an injector-duplicated PassDone never appends twice.
+        cluster_trace_.insert(cluster_trace_.end(), std::make_move_iterator(report.spans.begin()),
+                              std::make_move_iterator(report.spans.end()));
+        // Speculation report: counts/bytes sum across workers, times are
+        // maxima like the other per-worker time metrics.
+        last_metrics_.spec_issued += report.spec_issued;
+        last_metrics_.spec_conflicts += report.spec_conflicts;
+        last_metrics_.spec_repair_bytes += report.spec_repair_bytes;
+        last_metrics_.spec_hidden_seconds =
+            std::max(last_metrics_.spec_hidden_seconds, report.spec_hidden_seconds);
+        last_metrics_.spec_wait_seconds =
+            std::max(last_metrics_.spec_wait_seconds, report.spec_wait_seconds);
         last_metrics_.max_worker_compute_seconds =
-            std::max(last_metrics_.max_worker_compute_seconds, compute);
+            std::max(last_metrics_.max_worker_compute_seconds, report.compute_seconds);
         last_metrics_.max_worker_wait_seconds =
-            std::max(last_metrics_.max_worker_wait_seconds, wait);
-        last_metrics_.overlap_seconds = std::max(last_metrics_.overlap_seconds, overlap_send);
+            std::max(last_metrics_.max_worker_wait_seconds, report.wait_seconds);
+        last_metrics_.overlap_seconds =
+            std::max(last_metrics_.overlap_seconds, report.overlap_send_seconds);
         last_metrics_.prefetch_wait_hidden_seconds =
-            std::max(last_metrics_.prefetch_wait_hidden_seconds, prefetch_hidden);
+            std::max(last_metrics_.prefetch_wait_hidden_seconds, report.prefetch_hidden_seconds);
         last_metrics_.prefetch_ring_depth_used =
-            std::max(last_metrics_.prefetch_ring_depth_used, static_cast<int>(ring_used));
+            std::max(last_metrics_.prefetch_ring_depth_used,
+                     static_cast<int>(report.prefetch_ring_depth_used));
         const size_t slot = static_cast<size_t>(logical_of(msg->from));
         if (slot < last_metrics_.worker_reply_wait.size()) {
-          last_metrics_.worker_reply_wait[slot] = reply_wait;
+          last_metrics_.worker_reply_wait[slot] = report.reply_wait;
         }
         started[msg->from] = true;
         done[msg->from] = true;
         ++num_done;
-        pass_compute.emplace_back(msg->from, compute);
+        pass_compute.emplace_back(msg->from, report.compute_seconds);
         {
           RankLive& rl = *rank_live_[static_cast<size_t>(msg->from)];
           if (pass > rl.started.load(std::memory_order_relaxed)) {
@@ -1270,13 +1249,6 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
   // barrier rounds above).
   observe_round(pass_compute);
   return {true, -1};
-}
-
-void Driver::AutoCheckpoint(std::vector<DistArrayId> arrays, std::string directory,
-                            int every_n_passes) {
-  auto_ckpt_arrays_ = std::move(arrays);
-  auto_ckpt_dir_ = std::move(directory);
-  auto_ckpt_every_ = every_n_passes;
 }
 
 Status Driver::EnableDurability(std::vector<DistArrayId> arrays, std::string directory,
@@ -1935,8 +1907,6 @@ MetricsRegistry Driver::ExportMetrics() const {
                  static_cast<u64>(lm.param_shard_queue_depth_max));
   reg.SetCounter("pass.prefetch_ring_depth_used",
                  static_cast<u64>(lm.prefetch_ring_depth_used));
-  reg.SetGauge("prefetch.depth_effective",
-               static_cast<double>(lm.prefetch_depth_effective));
   reg.SetCounter("versioned.snapshot_pins", lm.versioned_snapshot_pins);
   reg.SetCounter("versioned.pages_cloned", lm.versioned_pages_cloned);
   reg.SetCounter("versioned.cow_bytes", lm.versioned_cow_bytes);
@@ -2176,8 +2146,9 @@ Status Driver::Execute(i32 loop_id) {
     // restore from.
     ORION_RETURN_IF_ERROR(WriteRecoveryCheckpoint());
   }
-  const int max_attempts =
-      recovery_enabled ? std::max(1, config_.supervisor.max_recovery_attempts) : 1;
+  // Recoveries one Execute call may run before it gives up.
+  constexpr int kMaxRecoveryAttempts = 8;
+  const int max_attempts = recovery_enabled ? kMaxRecoveryAttempts : 1;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     const PassOutcome out = RunPassOnce(loop_id);
     if (out.completed) {
@@ -2190,13 +2161,6 @@ Status Driver::Execute(i32 loop_id) {
       if (recovery_enabled && recover_every_ > 0 &&
           static_cast<int>(pass_log_.size()) >= recover_every_) {
         ORION_RETURN_IF_ERROR(WriteRecoveryCheckpoint());
-      }
-      if (auto_ckpt_every_ > 0 && pass_counter_ % auto_ckpt_every_ == 0) {
-        for (DistArrayId id : auto_ckpt_arrays_) {
-          const std::string path = auto_ckpt_dir_ + "/" + Host(id).meta.name + "." +
-                                   std::to_string(pass_counter_) + ".ckpt";
-          ORION_RETURN_IF_ERROR(Checkpoint(id, path));
-        }
       }
       return Status::Ok();
     }
@@ -2217,21 +2181,6 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   ORION_CHECK(it != loops_.end());
   const CompiledLoop& cl = *it->second;
   EnsureScattered(cl);
-
-  // Adaptive prefetch depth: re-pick the effective ring depth for this pass
-  // from the previous pass's merged reply-wait p90. Any depth in
-  // [1, prefetch_depth_max] is bit-for-bit identical for rotation loops
-  // (server state is pass-constant), so the controller only trades latency
-  // hiding against ring memory / request burstiness.
-  pass_prefetch_depth_ = 0;
-  if (cl.options.prefetch_depth_max > 0) {
-    auto [dit, inserted] = adaptive_depth_.try_emplace(
-        loop_id,
-        std::clamp(cl.options.prefetch_depth, 1, cl.options.prefetch_depth_max));
-    (void)inserted;
-    pass_prefetch_depth_ = dit->second;
-  }
-  last_metrics_.prefetch_depth_effective = pass_prefetch_depth_;
 
   // Speculative prefetch depth for ordered schedules. Eligibility is
   // structural (overlap engine on, step barrier, a server-hosted array to
@@ -2269,7 +2218,7 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
       m.from = kMasterRank;
       m.to = w;
       m.kind = MsgKind::kControl;
-      m.payload = StartPass{loop_id, pass, pass_prefetch_depth_, pass_spec_depth_}.Encode();
+      m.payload = StartPass{loop_id, pass, pass_spec_depth_}.Encode();
       fabric_->Send(std::move(m));
     }
   }
@@ -2291,32 +2240,6 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   last_metrics_.virtual_net_seconds = after.virtual_net_seconds - before.virtual_net_seconds;
   last_metrics_.zero_copy_bytes = after.zero_copy_bytes - before.zero_copy_bytes;
 
-  // Controller update for the next pass: deepen while blocking reply waits
-  // dominate and the ring was actually filled; shrink once waits are fully
-  // hidden so idle slots stop holding memory.
-  if (cl.options.prefetch_depth_max > 0) {
-    constexpr double kDeepenP90Seconds = 50e-6;
-    constexpr double kShrinkP90Seconds = 5e-6;
-    WaitHistogram merged;
-    for (const WaitHistogram& h : last_metrics_.worker_reply_wait) {
-      merged.Merge(h);
-    }
-    int& depth = adaptive_depth_[loop_id];
-    if (merged.total_count() > 0) {
-      const int depth_before = depth;
-      const double p90 = merged.ApproxPercentile(0.90);
-      if (p90 > kDeepenP90Seconds &&
-          last_metrics_.prefetch_ring_depth_used >= depth) {
-        depth = std::min(depth + 1, cl.options.prefetch_depth_max);
-      } else if (p90 < kShrinkP90Seconds && depth > 1) {
-        --depth;
-      }
-      if (depth != depth_before) {
-        fr::Record(fr::EventKind::kController, -1, depth, depth_before, "prefetch_depth");
-      }
-    }
-  }
-
   // Speculation controller update. Conflict rate is slots-repaired over
   // slots-issued; hidden vs wait compares what speculation bought (reply
   // latency overlapped with compute) against what it cost (repair round
@@ -2328,9 +2251,7 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
     const double rate = static_cast<double>(last_metrics_.spec_conflicts) /
                         static_cast<double>(last_metrics_.spec_issued);
     last_metrics_.spec_conflict_rate = rate;
-    const int cap = cl.options.prefetch_depth_max > 0
-                        ? cl.options.prefetch_depth_max
-                        : std::max(1, cl.options.prefetch_depth);
+    const int cap = std::max(1, cl.options.prefetch_depth);
     if (rate > 0.5 || (last_metrics_.spec_conflicts > 0 &&
                        last_metrics_.spec_wait_seconds >
                            last_metrics_.spec_hidden_seconds)) {
@@ -2351,8 +2272,6 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   metrics_series_["pass.wall_seconds"].push_back(last_metrics_.pass_wall_seconds);
   metrics_series_["pass.param_serve_seconds"].push_back(
       last_metrics_.param_serve_seconds);
-  metrics_series_["prefetch.depth_effective"].push_back(
-      static_cast<double>(last_metrics_.prefetch_depth_effective));
   metrics_series_["spec.depth_effective"].push_back(
       static_cast<double>(last_metrics_.spec_depth_effective));
   metrics_series_["spec.conflict_rate"].push_back(last_metrics_.spec_conflict_rate);

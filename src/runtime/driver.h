@@ -132,8 +132,7 @@ class Driver {
   // Registers the DistArray Buffer for `target`; kernels may then call
   // LoopContext::BufferUpdate on it. Must be called before Compile of any
   // loop whose kernel updates the buffer.
-  void RegisterBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply,
-                      BufferCombineFn combine = MakeAddCombineFn());
+  void RegisterBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply);
 
   // Creates an accumulator with the given reduction operator (paper
   // Sec. 3.4: worker-local instances combined with a commutative,
@@ -167,12 +166,6 @@ class Driver {
   // lexicographic order when `spec.ordered`, insertion order otherwise;
   // buffered updates are applied immediately with the registered UDF.
   Status ExecuteSerial(const LoopSpec& spec, const LoopKernel& kernel);
-
-  // Checkpoints `arrays` into `directory` (files named <name>.<pass>.ckpt)
-  // after every `every_n_passes` Execute() calls — the paper's fault-
-  // tolerance recipe (Sec. 4.3). Pass every_n_passes = 0 to disable.
-  void AutoCheckpoint(std::vector<DistArrayId> arrays, std::string directory,
-                      int every_n_passes);
 
   // ---- Integrated checkpoint/recovery on a delta log (paper Sec. 4.3) ----
 
@@ -394,10 +387,6 @@ class Driver {
   std::vector<f64> accumulators_;
   std::vector<AccumOp> accumulator_ops_;
 
-  std::vector<DistArrayId> auto_ckpt_arrays_;
-  std::string auto_ckpt_dir_;
-  int auto_ckpt_every_ = 0;
-
   // Cluster membership: live_ranks_[logical] == physical rank.
   std::vector<int> live_ranks_;
 
@@ -423,13 +412,6 @@ class Driver {
   RuntimeMetrics runtime_metrics_;
   std::map<DistArrayId, u32> last_replica_bcast_tag_;
   int pass_counter_ = 0;
-
-  // Adaptive prefetch-depth controller (per loop): the effective depth the
-  // next pass will ship in StartPass, re-picked from the previous pass's
-  // merged reply-wait p90. pass_prefetch_depth_ is the depth of the pass in
-  // flight, reused verbatim by supervision retransmits.
-  std::map<i32, int> adaptive_depth_;
-  int pass_prefetch_depth_ = 0;
 
   // Speculation controller (per loop, ordered schedules): how many steps
   // ahead executors may fetch against a possibly-stale snapshot. Deepens

@@ -251,7 +251,7 @@ DistArrayBuffer& Executor::GetBuffer(DistArrayId target) {
                                 << "without a registered DistArray Buffer";
     it = buffers_
              .emplace(target, std::make_unique<DistArrayBuffer>(
-                                  target, def->update_dim, def->apply, def->combine,
+                                  target, def->update_dim, def->apply,
                                   GetArray(target).meta.key_space.total()))
              .first;
   }
@@ -270,17 +270,10 @@ void Executor::Run() {
       try {
         if (msg->kind == MsgKind::kControl &&
             PeekControlOp(msg->payload) == ControlOp::kStartPass) {
-          ByteReader r(msg->payload);
-          r.Get<u16>();
-          const i32 loop_id = r.Get<i32>();
-          const i32 pass = r.Get<i32>();
-          // Trailing adaptive-depth and speculation-depth fields; tolerate
-          // their absence so older encoders stay decodable.
-          const i32 depth = r.AtEnd() ? 0 : r.Get<i32>();
-          const i32 spec_depth = r.AtEnd() ? 0 : r.Get<i32>();
-          if (pass > last_completed_pass_) {
+          const StartPass sp = StartPass::Decode(msg->payload);
+          if (sp.pass > last_completed_pass_) {
             BufferPool::Release(std::move(msg->payload));
-            RunPass(loop_id, pass, depth, spec_depth);
+            RunPass(sp.loop_id, sp.pass, sp.spec_depth);
             continue;
           }
           // Retransmit of an already-finished pass: fall through to the
@@ -399,11 +392,8 @@ void Executor::Dispatch(Message& msg) {
     case ControlOp::kStartPass: {
       // Duplicate or retransmit: if it names the pass we last completed, the
       // PassDone was lost — answer it again.
-      ByteReader r(msg.payload);
-      r.Get<u16>();
-      r.Get<i32>();  // loop id
-      const i32 pass = r.Get<i32>();
-      if (pass == last_completed_pass_ && cached_pass_done_.has_value()) {
+      if (StartPass::Decode(msg.payload).pass == last_completed_pass_ &&
+          cached_pass_done_.has_value()) {
         fabric_->SendReliable(*cached_pass_done_);
       }
       return;
@@ -627,7 +617,7 @@ void Executor::Barrier(i32 pass, int step) {
       // them small instead of re-shipping the batch every backoff.
       arrival.spans.clear();
     }
-    backoff *= sup_.retry_backoff_factor;
+    backoff *= kRetryBackoffFactor;
   }
 }
 
@@ -655,7 +645,7 @@ void Executor::ExecuteCells(const CompiledLoop& cl, int tau, int chunk, int num_
   if (num_chunks > 1) {
     it->second.ForEachSlice(chunk, num_chunks, body);
   } else {
-    it->second.ForEachFast(body);
+    it->second.ForEach(body);
   }
   compute_seconds_ += sw.ElapsedSeconds();
 }
@@ -952,7 +942,7 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
     spec_repair_bytes_ += cells.SerializedBytes();
     ArrayState& st = GetArray(array);
     const size_t dim = static_cast<size_t>(st.meta.value_dim);
-    cells.ForEachConstFast([&](i64 key, const f32* v) {
+    cells.ForEachConst([&](i64 key, const f32* v) {
       simd::CopyF32(st.prefetch_cache.GetOrCreate(key), v, dim);
     });
   }
@@ -1146,7 +1136,7 @@ void Executor::DrainReturningParts(const CompiledLoop& cl) {
   }
 }
 
-void Executor::RunPass(i32 loop_id, i32 pass, int depth_override, int spec_depth) {
+void Executor::RunPass(i32 loop_id, i32 pass, int spec_depth) {
   current_pass_ = pass;
   trace::SetThreadRank(logical_rank_);
   trace::SetThreadPass(pass);
@@ -1224,9 +1214,7 @@ void Executor::RunPass(i32 loop_id, i32 pass, int depth_override, int spec_depth
     // on so the early requests ride the comm thread.
     const bool speculating =
         spec_depth_ > 0 && overlap_ && has_server && cl->NeedsStepBarrier();
-    const int static_depth =
-        depth_override > 0 ? depth_override : cl->options.prefetch_depth;
-    const int depth = pipelined ? std::max(1, static_depth) : 1;
+    const int depth = pipelined ? std::max(1, cl->options.prefetch_depth) : 1;
     // Next step at which this worker executes a block (-1 when none): the
     // step the early issue targets.
     auto next_active = [&](int after) {

@@ -83,12 +83,10 @@ class Executor {
   ArrayState& GetArray(DistArrayId id);
   DistArrayBuffer& GetBuffer(DistArrayId target);
 
-  // depth_override > 0 replaces the loop's static prefetch_depth for this
-  // pass (the master's adaptive controller ships it in StartPass).
   // spec_depth > 0 lets ordered (wavefront/lockstep) passes fetch up to that
   // many steps ahead speculatively; 0 keeps the synchronous issue-await
   // pairing.
-  void RunPass(i32 loop_id, i32 pass, int depth_override = 0, int spec_depth = 0);
+  void RunPass(i32 loop_id, i32 pass, int spec_depth);
   void ExecuteCells(const CompiledLoop& cl, int tau, int chunk, int num_chunks);
 
   // ---- Prefetch pipeline (paper Sec. 4.4 + comm/compute overlap) ----

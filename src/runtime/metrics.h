@@ -29,10 +29,8 @@ struct LoopMetrics {
   // flight through the sharded path.
   double param_serve_seconds = 0.0;
   int param_shard_queue_depth_max = 0;
-  // Depth-k prefetch ring: the deepest any worker's ring actually got, and
-  // the depth the adaptive controller chose for the pass (0 = static).
+  // Depth-k prefetch ring: the deepest any worker's ring actually got.
   int prefetch_ring_depth_used = 0;
-  int prefetch_depth_effective = 0;
   // Per-worker reply-wait histograms, indexed by logical rank.
   std::vector<WaitHistogram> worker_reply_wait;
   // Speculative prefetch engine for ordered schedules. Depth 0 = the pass

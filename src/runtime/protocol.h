@@ -33,24 +33,28 @@ enum class ControlOp : u16 {
 struct StartPass {
   i32 loop_id = 0;
   i32 pass = 0;
-  // Effective prefetch-ring depth for this pass, chosen by the driver's
-  // adaptive controller. 0 = use the loop's static option. Serialized last
-  // so older decoders simply stop before it.
-  i32 prefetch_depth = 0;
   // Speculation depth for ordered schedules: how many steps ahead the
   // executor may fetch parameters speculatively. 0 = synchronous fetch
-  // (speculation off, or the controller disabled it). Trailing like
-  // prefetch_depth.
+  // (speculation off, or the controller disabled it).
   i32 spec_depth = 0;
 
   std::vector<u8> Encode() const {
-    ByteWriter w(sizeof(u16) + 4 * sizeof(i32));
+    ByteWriter w(sizeof(u16) + 3 * sizeof(i32));
     w.Put<u16>(static_cast<u16>(ControlOp::kStartPass));
     w.Put<i32>(loop_id);
     w.Put<i32>(pass);
-    w.Put<i32>(prefetch_depth);
     w.Put<i32>(spec_depth);
     return w.Take();
+  }
+
+  static StartPass Decode(const std::vector<u8>& payload) {
+    ByteReader r(payload);
+    r.Get<u16>();  // op
+    StartPass s;
+    s.loop_id = r.Get<i32>();
+    s.pass = r.Get<i32>();
+    s.spec_depth = r.Get<i32>();
+    return s;
   }
 };
 
@@ -71,12 +75,11 @@ struct PassDone {
   WaitHistogram reply_wait;
   std::vector<f64> accumulators;
   // Span tracer piggyback: the worker's drained spans (empty when tracing
-  // is disabled). Serialized last so older decoders simply stop before it.
+  // is disabled).
   std::vector<trace::Span> spans;
   // Speculative prefetch engine (ordered schedules): slots issued early,
   // slots that needed repair, repair bytes re-fetched, in-flight time hidden
   // under compute, and blocked wait (initial await + repair round trips).
-  // Trailing after the spans; decoders AtEnd-guard them.
   u32 spec_issued = 0;
   u32 spec_conflicts = 0;
   u64 spec_repair_bytes = 0;
@@ -105,6 +108,28 @@ struct PassDone {
     w.Put<double>(spec_hidden_seconds);
     w.Put<double>(spec_wait_seconds);
     return w.Take();
+  }
+
+  static PassDone Decode(const std::vector<u8>& payload) {
+    ByteReader r(payload);
+    r.Get<u16>();  // op
+    PassDone d;
+    d.loop_id = r.Get<i32>();
+    d.pass = r.Get<i32>();
+    d.compute_seconds = r.Get<double>();
+    d.wait_seconds = r.Get<double>();
+    d.overlap_send_seconds = r.Get<double>();
+    d.prefetch_hidden_seconds = r.Get<double>();
+    d.prefetch_ring_depth_used = r.Get<i32>();
+    d.reply_wait = WaitHistogram::Deserialize(&r);
+    d.accumulators = r.GetVec<f64>();
+    d.spans = trace::DeserializeSpans(&r);
+    d.spec_issued = r.Get<u32>();
+    d.spec_conflicts = r.Get<u32>();
+    d.spec_repair_bytes = r.Get<u64>();
+    d.spec_hidden_seconds = r.Get<double>();
+    d.spec_wait_seconds = r.Get<double>();
+    return d;
   }
 };
 
@@ -246,7 +271,6 @@ enum class PartDataMode : u8 {
   kInstallPart = 0,    // install into the receiver's partition map [part]
   kInstallRange = 1,   // install as the receiver's range-partition cells
   kOverwrite = 2,      // master-side: overwrite authoritative cells
-  kApplyAdd = 3,       // apply as additive deltas
   kApplyBufferUdf = 4, // apply with the registered buffer UDF
   kReplicaSnapshot = 5,// full replicated-array refresh
 };

@@ -58,9 +58,7 @@ struct SupervisorConfig {
   double heartbeat_interval_seconds = 0.05;  // master ping cadence per worker
   double death_timeout_seconds = 2.0;        // silence before a worker is declared dead
   double retry_initial_seconds = 0.05;       // first retransmit backoff
-  double retry_backoff_factor = 2.0;
   int max_retries = 10;                      // per worker per pass
-  int max_recovery_attempts = 8;             // per Execute call
   // Extra silence tolerated for a worker that was just sent bulk state
   // (scatter parts, replica snapshots, rejoin streams) and has not spoken
   // since: installing a large transfer can exceed death_timeout_seconds, and
@@ -69,13 +67,16 @@ struct SupervisorConfig {
   double state_transfer_grace_seconds = 10.0;
 };
 
+// Growth of the retransmit backoff after each retry, on the master's
+// StartPass resends and the workers' barrier resends alike.
+inline constexpr double kRetryBackoffFactor = 2.0;
+
 // A DistArray Buffer definition: how updates routed through the buffer for
-// `target` are coalesced and applied.
+// `target` are applied (pending updates for one key coalesce by addition).
 struct BufferDef {
   DistArrayId target = kInvalidDistArrayId;
   i32 update_dim = 1;
   BufferApplyFn apply;
-  BufferCombineFn combine;
 };
 
 class SharedDirectory {

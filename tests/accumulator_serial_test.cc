@@ -1,9 +1,9 @@
 // Accumulators with custom reduce operators, the serial fallback executor,
-// and auto-checkpointing.
+// and the durability checkpoint cadence.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
+#include <vector>
 
 #include "src/runtime/driver.h"
 
@@ -131,7 +131,7 @@ TEST(SerialFallback, RunsLoopsTheAnalysisRejects) {
   EXPECT_DOUBLE_EQ(total, 50.0);
 }
 
-TEST(AutoCheckpoint, WritesEveryNPasses) {
+TEST(DurabilityCadence, CheckpointsEveryNPasses) {
   DriverConfig cfg;
   cfg.num_workers = 2;
   Driver driver(cfg);
@@ -148,26 +148,21 @@ TEST(AutoCheckpoint, WritesEveryNPasses) {
   auto loop = driver.Compile(spec, kernel, {});
   ASSERT_TRUE(loop.ok());
 
-  const std::string dir = ::testing::TempDir();
-  driver.AutoCheckpoint({sums}, dir, /*every_n_passes=*/2);
+  const std::string dir = ::testing::TempDir() + "/orion_durability_cadence";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(driver.EnableDurability({sums}, dir, {.every_n_passes = 2}).ok());
   for (int p = 0; p < 4; ++p) {
     ASSERT_TRUE(driver.Execute(*loop).ok());
   }
-  // Checkpoints at pass counters 2 and 4.
-  auto exists = [](const std::string& path) {
-    std::ifstream in(path);
-    return static_cast<bool>(in);
-  };
-  int found = 0;
-  for (int pass = 1; pass <= 10; ++pass) {
-    if (exists(dir + "/sums." + std::to_string(pass) + ".ckpt")) {
-      ++found;
-      auto restored = CheckpointRead(dir + "/sums." + std::to_string(pass) + ".ckpt");
-      EXPECT_TRUE(restored.ok());
-      std::remove((dir + "/sums." + std::to_string(pass) + ".ckpt").c_str());
-    }
+  // The baseline before pass 1, then checkpoints after passes 2 and 4.
+  auto points = driver.DurabilityPoints();
+  ASSERT_TRUE(points.ok()) << points.status();
+  std::vector<i64> passes;
+  for (const RestorePoint& p : *points) {
+    passes.push_back(p.pass);
   }
-  EXPECT_EQ(found, 2);
+  EXPECT_EQ(passes, (std::vector<i64>{0, 2, 4}));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

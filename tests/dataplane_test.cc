@@ -315,7 +315,9 @@ CellMap RunPagedWorkload(i64 page_cells, bool dense) {
     f32* v = updates.GetOrCreate(key);
     v[1] = 0.25f;
   }
-  store.MergeAdd(updates);
+  updates.ForEachConst([&](i64 key, const f32* v) {
+    simd::AddF32(store.GetOrCreate(key), v, static_cast<size_t>(kDim));
+  });
   snap.Release();
   return StoreSnapshot(store);
 }

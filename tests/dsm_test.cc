@@ -620,7 +620,7 @@ TEST(RangeSplits, SerializeRoundtrip) {
 // ---- DistArray buffers ----
 
 TEST(Buffer, CoalescesAndApplies) {
-  DistArrayBuffer buf(7, 2, MakeAddApplyFn(), MakeAddCombineFn());
+  DistArrayBuffer buf(7, 2, MakeAddApplyFn());
   const f32 u1[2] = {1.0f, 2.0f};
   const f32 u2[2] = {3.0f, 4.0f};
   buf.Accumulate(5, u1);
@@ -642,7 +642,7 @@ TEST(Buffer, CustomApplyUdf) {
   auto apply = [](f32* cell, const f32* update, i32) {
     cell[0] = std::max(cell[0], update[0]);
   };
-  DistArrayBuffer buf(7, 1, apply, MakeAddCombineFn());
+  DistArrayBuffer buf(7, 1, apply);
   const f32 u = 5.0f;
   buf.Accumulate(1, &u);
   CellStore target(1, CellStore::Layout::kHashed, 0);
@@ -652,43 +652,40 @@ TEST(Buffer, CustomApplyUdf) {
 }
 
 TEST(Buffer, ApplyPendingLeavesNonAdditiveUpdatesUntouched) {
-  // A replica refresh applies the unflushed updates and must leave them
-  // pending exactly as they were. Re-buffering drained updates onto fresh
-  // zero cells keeps them only for combines with combine(0, v) == v; a
-  // gradient sum with an update count, or a sum of squares, is not one.
-  const BufferCombineFn sum_and_count = [](f32* pending, const f32* incoming, i32) {
-    pending[0] += incoming[0];
-    pending[1] += 1.0f;
-  };
-  const BufferCombineFn sum_of_squares = [](f32* pending, const f32* incoming, i32 dim) {
+  // A replica refresh applies the unflushed updates through the apply UDF
+  // (here a non-additive per-lane max) and must leave them pending exactly
+  // as they were.
+  auto max_apply = [](f32* cell, const f32* update, i32 dim) {
     for (i32 d = 0; d < dim; ++d) {
-      pending[d] += incoming[d] * incoming[d];
+      cell[d] = std::max(cell[d], update[d]);
     }
   };
-  for (const BufferCombineFn& combine : {sum_and_count, sum_of_squares}) {
-    auto fill = [](DistArrayBuffer* buf) {
-      const f32 updates[3][2] = {{-2.0f, 0.5f}, {-5.0f, 0.25f}, {1.5f, 2.0f}};
-      const i64 keys[3] = {3, 3, 4};
-      for (int i = 0; i < 3; ++i) {
-        buf->Accumulate(keys[i], updates[i]);
-      }
-    };
-    DistArrayBuffer reference(7, 2, MakeAddApplyFn(), combine, /*key_bound=*/16);
-    DistArrayBuffer buf(7, 2, MakeAddApplyFn(), combine, /*key_bound=*/16);
-    fill(&reference);
-    fill(&buf);
-    const CellStore want = reference.Drain();
-    CellStore replica(2, CellStore::Layout::kHashed, 0);
-    replica.GetOrCreate(3)[0] = 100.0f;
-    buf.ApplyPendingTo(&replica);
-    EXPECT_EQ(replica.Get(3)[0], 100.0f + want.Get(3)[0]);
-    EXPECT_EQ(replica.Get(3)[1], want.Get(3)[1]);
-    EXPECT_EQ(replica.Get(4)[0], want.Get(4)[0]);
-    EXPECT_EQ(buf.NumPending(), 2);
-    const CellStore got = buf.Drain();
-    EXPECT_EQ(got.keys(), want.keys());
-    EXPECT_EQ(got.raw_values(), want.raw_values());
-  }
+  auto fill = [](DistArrayBuffer* buf) {
+    const f32 updates[3][2] = {{-2.0f, 0.5f}, {-5.0f, 0.25f}, {1.5f, 2.0f}};
+    const i64 keys[3] = {3, 3, 4};
+    for (int i = 0; i < 3; ++i) {
+      buf->Accumulate(keys[i], updates[i]);
+    }
+  };
+  DistArrayBuffer reference(7, 2, max_apply, /*key_bound=*/16);
+  DistArrayBuffer buf(7, 2, max_apply, /*key_bound=*/16);
+  fill(&reference);
+  fill(&buf);
+  const CellStore want = reference.Drain();
+  EXPECT_EQ(want.Get(3)[0], -7.0f);
+  EXPECT_EQ(want.Get(3)[1], 0.75f);
+  CellStore replica(2, CellStore::Layout::kHashed, 0);
+  replica.GetOrCreate(3)[0] = 100.0f;
+  replica.GetOrCreate(3)[1] = -1.0f;
+  buf.ApplyPendingTo(&replica);
+  EXPECT_EQ(replica.Get(3)[0], 100.0f);
+  EXPECT_EQ(replica.Get(3)[1], 0.75f);
+  EXPECT_EQ(replica.Get(4)[0], 1.5f);
+  EXPECT_EQ(replica.Get(4)[1], 2.0f);
+  EXPECT_EQ(buf.NumPending(), 2);
+  const CellStore got = buf.Drain();
+  EXPECT_EQ(got.keys(), want.keys());
+  EXPECT_EQ(got.raw_values(), want.raw_values());
 }
 
 // ---- Randomize ----

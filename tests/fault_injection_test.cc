@@ -189,6 +189,78 @@ TEST(FaultInjector, DelayedMessageIsReleasedAfterLaterTraffic) {
   EXPECT_EQ(inj.stats().released, 1u);
 }
 
+// ---- Control message round trips ----
+
+TEST(ProtocolRoundTrip, StartPass) {
+  const StartPass sent{/*loop_id=*/3, /*pass=*/17, /*spec_depth=*/2};
+  const std::vector<u8> bytes = sent.Encode();
+  EXPECT_EQ(PeekControlOp(bytes), ControlOp::kStartPass);
+  const StartPass got = StartPass::Decode(bytes);
+  EXPECT_EQ(got.loop_id, 3);
+  EXPECT_EQ(got.pass, 17);
+  EXPECT_EQ(got.spec_depth, 2);
+  EXPECT_EQ(got.Encode(), bytes);
+}
+
+TEST(ProtocolRoundTrip, PassDoneWithSpansSpeculationAndAccumulators) {
+  PassDone sent = MakePassDone(/*loop_id=*/4, /*pass=*/9);
+  sent.compute_seconds = 0.125;
+  sent.wait_seconds = 0.25;
+  sent.overlap_send_seconds = 0.0625;
+  sent.prefetch_hidden_seconds = 0.5;
+  sent.prefetch_ring_depth_used = 3;
+  sent.reply_wait.Add(5e-5);
+  sent.reply_wait.Add(2e-3);
+  sent.accumulators = {1.5, -2.0, 1e300};
+  trace::Span span;
+  span.start_ns = 100;
+  span.end_ns = 250;
+  span.pass = 9;
+  span.step = 2;
+  span.rank = 1;
+  span.tid = 5;
+  span.category = 3;
+  span.name = "compute";
+  sent.spans = {span, span};
+  sent.spans[1].name = "flush";
+  sent.spec_issued = 7;
+  sent.spec_conflicts = 2;
+  sent.spec_repair_bytes = 4096;
+  sent.spec_hidden_seconds = 0.75;
+  sent.spec_wait_seconds = 0.375;
+
+  const std::vector<u8> bytes = sent.Encode();
+  EXPECT_EQ(PeekControlOp(bytes), ControlOp::kPassDone);
+  const PassDone got = PassDone::Decode(bytes);
+  EXPECT_EQ(got.loop_id, 4);
+  EXPECT_EQ(got.pass, 9);
+  EXPECT_EQ(got.compute_seconds, 0.125);
+  EXPECT_EQ(got.wait_seconds, 0.25);
+  EXPECT_EQ(got.overlap_send_seconds, 0.0625);
+  EXPECT_EQ(got.prefetch_hidden_seconds, 0.5);
+  EXPECT_EQ(got.prefetch_ring_depth_used, 3);
+  EXPECT_EQ(got.reply_wait.total_count(), 2u);
+  EXPECT_EQ(got.reply_wait.max_seconds, 2e-3);
+  EXPECT_EQ(got.accumulators, sent.accumulators);
+  ASSERT_EQ(got.spans.size(), 2u);
+  EXPECT_EQ(got.spans[0].start_ns, 100);
+  EXPECT_EQ(got.spans[0].end_ns, 250);
+  EXPECT_EQ(got.spans[0].pass, 9);
+  EXPECT_EQ(got.spans[0].step, 2);
+  EXPECT_EQ(got.spans[0].rank, 1);
+  EXPECT_EQ(got.spans[0].tid, 5);
+  EXPECT_EQ(got.spans[0].category, 3);
+  EXPECT_EQ(got.spans[0].name, "compute");
+  EXPECT_EQ(got.spans[1].name, "flush");
+  EXPECT_EQ(got.spec_issued, 7u);
+  EXPECT_EQ(got.spec_conflicts, 2u);
+  EXPECT_EQ(got.spec_repair_bytes, 4096u);
+  EXPECT_EQ(got.spec_hidden_seconds, 0.75);
+  EXPECT_EQ(got.spec_wait_seconds, 0.375);
+  // Nothing is dropped: re-encoding the decoded message gives the same bytes.
+  EXPECT_EQ(got.Encode(), bytes);
+}
+
 // ---- End-to-end chaos: SGD MF ----
 
 // Message faults without crashes must not change the computation at all:

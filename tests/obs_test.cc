@@ -297,9 +297,7 @@ TEST(ObsEndpoint, RenderEscapesAndSanitizesNames) {
 // ---- Straggler detector ----
 
 TEST(ObsAnomaly, UnitFlagAfterConfirmRoundsAndVerdict) {
-  obs::StragglerOptions opt;
-  opt.confirm_rounds = 3;
-  obs::StragglerDetector det(opt);
+  obs::StragglerDetector det;
   // Too few ranks: ignored entirely.
   det.ObserveRound({{0, 1.0}, {1, 5.0}});
   EXPECT_EQ(det.rounds(), 0u);
@@ -317,7 +315,7 @@ TEST(ObsAnomaly, UnitFlagAfterConfirmRoundsAndVerdict) {
   EXPECT_TRUE(det.TakeNewlyFlagged().empty());  // WARN-once semantics
   EXPECT_NE(det.Verdict().find("rank 2"), std::string::npos);
 
-  // The flag is sticky: it takes confirm_rounds healthy rounds in a row to
+  // The flag is sticky: it takes three healthy rounds in a row to
   // clear, so one in-band observation cannot flap the verdict.
   const std::vector<std::pair<int, double>> even = {
       {0, 0.010}, {1, 0.010}, {2, 0.010}, {3, 0.010}};
@@ -353,7 +351,7 @@ TEST(ObsAnomaly, InjectedStraggleIsDetectedEndToEnd) {
 
 TEST(ObsAnomaly, CleanChaosRunStaysSilent) {
   // Message faults (drop/dup/delay) delay single rounds, never the same
-  // rank for confirm_rounds in a row — no straggler flags.
+  // rank for three rounds in a row — no straggler flags.
   WavefrontKnobs knobs;
   knobs.fault_plan.seed = 29;
   knobs.fault_plan.drop_prob = 0.03;
