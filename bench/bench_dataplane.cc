@@ -46,7 +46,7 @@ double MbPerSec(size_t bytes_per_rep, int reps, double seconds) {
 }
 
 // Copy kernel in the gather shape: one CopyF32 per cell of kVdim lanes
-// (what ParamServer::Gather and the scatter/fold loops issue), plus the
+// (what the param-reply gather and the scatter/fold loops issue), plus the
 // page-sized bulk shape BeginServing issues. Returns MB/s.
 double BenchCopy(simd::Level level, std::vector<f32>* dst, const std::vector<f32>* src) {
   simd::ForceLevel(level);

@@ -82,10 +82,6 @@ RunResult RunRotationServer(bool overlap, bool zero_copy) {
   cfg.net = SlowLink();
   cfg.seed = 11;
   cfg.zero_copy = zero_copy;
-  // Serve inline on every config: this bench isolates the overlap engine, and
-  // sharded async serving (measured by bench_param_serving) would speed up the
-  // sync baseline too and mask the ratio under test.
-  cfg.async_param_serving = false;
   Driver driver(cfg);
 
   auto data = driver.CreateDistArray("data", {kRows, kCols}, 1, Density::kSparse);
@@ -185,7 +181,6 @@ RunResult RunSgdMf(bool overlap, bool zero_copy) {
   cfg.net = SlowLink();
   cfg.seed = 7;
   cfg.zero_copy = zero_copy;
-  cfg.async_param_serving = false;  // same reason as RunRotationServer
   Driver driver(cfg);
   SgdMfConfig mf;
   mf.rank = 48;

@@ -1,12 +1,13 @@
-// Sharded async parameter serving + depth-k prefetch ring: pass wall time
-// across a (ring depth, shard count) sweep on the rotation+server scenario,
-// under a cost model that charges real time at the sender.
+// Parameter serving + depth-k prefetch ring: pass wall time across a ring
+// depth sweep on the rotation+server scenario, under a cost model that
+// charges real time at the sender.
 //
-// The PR-2 overlap engine (depth-1 double buffer, inline serving on the
-// master's service loop) is the baseline; the sweep turns on the sharded
-// ParamServer and deepens the ring. One extra point runs the deepest
-// configuration under seeded message faults (drop/dup/delay of control
-// traffic) to show the async path composes with supervision.
+// The master gathers every reply on its service loop and sends it through a
+// per-worker reply lane, so the reply fan-out's modeled latencies overlap
+// across workers. The depth-1 overlap engine (double buffer) is the
+// baseline; the sweep deepens the ring. One extra point runs depth 2 under
+// seeded message faults (drop/dup/delay of control traffic) to show serving
+// composes with supervision.
 //
 // Every configuration must be bit-for-bit identical to the synchronous run;
 // a mismatch is the only failure (exit 1). Timings are written to
@@ -43,16 +44,13 @@ NetCostModel SlowLink() {
 
 struct Config {
   bool overlap = true;
-  bool async_serving = true;
   int depth = 2;
-  int shards = 4;
   bool faults = false;
 };
 
 struct RunResult {
   double sec_per_pass = 0.0;
   double serve_seconds = 0.0;
-  int shard_queue_depth = 0;
   int ring_depth = 0;
   double reply_wait_seconds = 0.0;
   WaitHistogram reply_wait;  // merged across workers and passes
@@ -70,8 +68,6 @@ RunResult Run(const Config& c) {
   cfg.num_workers = kWorkers;
   cfg.net = SlowLink();
   cfg.seed = 11;
-  cfg.async_param_serving = c.async_serving;
-  cfg.param_server_shards = c.shards;
   if (c.faults) {
     cfg.fault_plan.seed = 29;
     cfg.fault_plan.drop_prob = 0.03;
@@ -111,10 +107,9 @@ RunResult Run(const Config& c) {
 
   const int acc = driver.CreateAccumulator();
   // Lighter compute than bench_overlap's kernel: here the regime under test
-  // is a master-bound pass, where the inline reply fan-out (one serialized
-  // ~latency sleep per worker per step on the service loop) exceeds the
-  // kernel time and stalls every worker. The sharded server's per-worker
-  // reply lanes overlap that fan-out; the deep ring hides the round trip.
+  // is a master-bound pass, where the reply fan-out (one ~latency sleep per
+  // worker per step) is comparable to the kernel time. The per-worker reply
+  // lanes overlap that fan-out; the deep ring hides the round trip.
   LoopKernel kernel = [=](LoopContext& ctx, IdxSpan idx, const f32* value) {
     const i64 k[1] = {idx[0] + idx[1]};
     const f32* t = ctx.Read(table, k);
@@ -149,7 +144,6 @@ RunResult Run(const Config& c) {
       const LoopMetrics& m = driver.last_metrics();
       res.sec_per_pass += m.pass_wall_seconds;
       res.serve_seconds += m.param_serve_seconds;
-      res.shard_queue_depth = std::max(res.shard_queue_depth, m.param_shard_queue_depth_max);
       res.ring_depth = std::max(res.ring_depth, m.prefetch_ring_depth_used);
       for (const WaitHistogram& h : m.worker_reply_wait) {
         res.reply_wait.Merge(h);
@@ -169,60 +163,46 @@ bool Identical(const RunResult& a, const RunResult& b) {
 }
 
 int Main() {
-  PrintHeader("sharded async parameter serving + depth-k prefetch ring",
-              "pass wall seconds across (ring depth, shard count), vs the depth-1 "
-              "inline-serving overlap baseline, real-time-charged link");
+  PrintHeader("parameter serving + depth-k prefetch ring",
+              "pass wall seconds across ring depths, vs the depth-1 overlap baseline, "
+              "real-time-charged link");
 
   Config sync_cfg;
   sync_cfg.overlap = false;
-  sync_cfg.async_serving = false;
   sync_cfg.depth = 1;
   const RunResult sync = Run(sync_cfg);
 
-  Config base_cfg;  // PR-2 overlap engine: depth-1 pipeline, inline serving
-  base_cfg.overlap = true;
-  base_cfg.async_serving = false;
-  base_cfg.depth = 1;
-  const RunResult baseline = Run(base_cfg);
-
-  bool identical = Identical(sync, baseline);
-  if (!identical) {
-    std::printf("MISMATCH: overlap baseline is not bit-for-bit identical to sync\n");
-  }
-
   struct Point {
     int depth;
-    int shards;
     RunResult res;
     bool identical;
   };
   std::vector<Point> points;
-  std::printf("depth,shards,sec_per_pass,speedup_vs_baseline,serve_sec,ring_depth,"
-              "reply_wait_sec,identical\n");
-  std::printf("sync,,%.4f,,,,,\n", sync.sec_per_pass);
-  std::printf("1(inline),,%.4f,1.00,,,,%d\n", baseline.sec_per_pass, identical ? 1 : 0);
+  bool identical = true;
   for (int depth : {1, 2, 4}) {
-    for (int shards : {1, 4}) {
-      Config c;
-      c.depth = depth;
-      c.shards = shards;
-      Point p{depth, shards, Run(c), false};
-      p.identical = Identical(sync, p.res);
-      if (!p.identical) {
-        std::printf("MISMATCH: depth=%d shards=%d is not bit-for-bit identical to sync\n",
-                    depth, shards);
-        identical = false;
-      }
-      std::printf("%d,%d,%.4f,%.2f,%.4f,%d,%.4f,%d\n", depth, shards, p.res.sec_per_pass,
-                  baseline.sec_per_pass / p.res.sec_per_pass, p.res.serve_seconds,
-                  p.res.ring_depth, p.res.reply_wait_seconds, p.identical ? 1 : 0);
-      points.push_back(std::move(p));
+    Config c;
+    c.depth = depth;
+    Point p{depth, Run(c), false};
+    p.identical = Identical(sync, p.res);
+    if (!p.identical) {
+      std::printf("MISMATCH: depth=%d is not bit-for-bit identical to sync\n", depth);
+      identical = false;
     }
+    points.push_back(std::move(p));
+  }
+  const RunResult& baseline = points.front().res;  // depth-1 overlap engine
+
+  std::printf("depth,sec_per_pass,speedup_vs_depth1,serve_sec,ring_depth,reply_wait_sec,"
+              "identical\n");
+  std::printf("sync,%.4f,,,,,\n", sync.sec_per_pass);
+  for (const Point& p : points) {
+    std::printf("%d,%.4f,%.2f,%.4f,%d,%.4f,%d\n", p.depth, p.res.sec_per_pass,
+                baseline.sec_per_pass / p.res.sec_per_pass, p.res.serve_seconds,
+                p.res.ring_depth, p.res.reply_wait_seconds, p.identical ? 1 : 0);
   }
 
   Config fault_cfg;
   fault_cfg.depth = 2;
-  fault_cfg.shards = 4;
   fault_cfg.faults = true;
   const RunResult faulted = Run(fault_cfg);
   const bool fault_identical = Identical(sync, faulted);
@@ -230,47 +210,33 @@ int Main() {
     std::printf("MISMATCH: fault-injected run is not bit-for-bit identical to sync\n");
     identical = false;
   }
-  std::printf("2,4,%.4f,%.2f,%.4f,%d,%.4f,%d  (fault-injected)\n", faulted.sec_per_pass,
+  std::printf("2,%.4f,%.2f,%.4f,%d,%.4f,%d  (fault-injected)\n", faulted.sec_per_pass,
               baseline.sec_per_pass / faulted.sec_per_pass, faulted.serve_seconds,
               faulted.ring_depth, faulted.reply_wait_seconds, fault_identical ? 1 : 0);
-
-  // Headline: the deepest sharded configuration vs the PR-2 baseline.
-  double best_speedup = 0.0;
-  for (const Point& p : points) {
-    if (p.depth >= 2 && p.shards >= 4) {
-      best_speedup = std::max(best_speedup, baseline.sec_per_pass / p.res.sec_per_pass);
-    }
-  }
 
   std::vector<std::string> sweep_rows;
   for (const Point& p : points) {
     sweep_rows.push_back(
-        JsonF("{\"depth\": %d, \"shards\": %d, \"sec_per_pass\": %.6f, "
-              "\"speedup_vs_baseline\": %.3f, \"serve_sec\": %.6f, "
+        JsonF("{\"depth\": %d, \"sec_per_pass\": %.6f, "
+              "\"speedup_vs_depth1\": %.3f, \"serve_sec\": %.6f, "
               "\"ring_depth_used\": %d, \"reply_wait_sec\": %.6f, "
               "\"reply_wait_p50\": %.6f, \"reply_wait_p99\": %.6f, "
               "\"identical\": %s}",
-              p.depth, p.shards, p.res.sec_per_pass,
-              baseline.sec_per_pass / p.res.sec_per_pass, p.res.serve_seconds,
-              p.res.ring_depth, p.res.reply_wait_seconds,
+              p.depth, p.res.sec_per_pass, baseline.sec_per_pass / p.res.sec_per_pass,
+              p.res.serve_seconds, p.res.ring_depth, p.res.reply_wait_seconds,
               p.res.reply_wait.ApproxPercentile(0.5),
               p.res.reply_wait.ApproxPercentile(0.99), p.identical ? "true" : "false"));
   }
   BenchJson("param_serving")
       .Figure("sync_sec", sync.sec_per_pass)
-      .Figure("overlap_depth1_inline_sec", baseline.sec_per_pass)
       .Figure("sweep", BenchJson::Array(sweep_rows))
       .Figure("fault_injected",
-              JsonF("{\"depth\": 2, \"shards\": 4, \"sec_per_pass\": %.6f, "
-                    "\"identical\": %s}",
+              JsonF("{\"depth\": 2, \"sec_per_pass\": %.6f, \"identical\": %s}",
                     faulted.sec_per_pass, fault_identical ? "true" : "false"))
-      .Figure("best_speedup_vs_baseline", JsonF("%.3f", best_speedup))
       .Figure("bit_for_bit_identical", identical)
       .Write();
 
-  PrintShape("sharded serving + deep ring beats the depth-1 inline baseline by >= 1.15x",
-             best_speedup >= 1.15);
-  PrintShape("all (depth, shards) points bit-for-bit identical to sync", identical);
+  PrintShape("all ring depths and the faulted run bit-for-bit identical to sync", identical);
   return identical ? 0 : 1;
 }
 

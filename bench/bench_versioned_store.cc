@@ -1,27 +1,24 @@
-// Versioned copy-on-write parameter store: 1D snapshot serving vs the
-// inline 1D baseline, plus a writer microbench on the wavefront overwrite
-// path.
+// Versioned copy-on-write parameter store: what serving parameter requests
+// from a paged master that a serving tier pins costs, against the same
+// workload on a flat master.
 //
 // Sweep 1 (1D serving): a chunked 1D loop with runtime-subscripted server
 // reads and buffered server writes, split into sync rounds, on a
-// real-time-charged link. The baseline serves every round's prefetch
-// inline on the master's service loop (one serialized reply per worker per
-// round); async serving moves 1D loops onto the sharded path — the service
-// loop pins a snapshot per request (a refcount bump) and pool
-// threads gather from it with no lock while replies overlap on per-worker
-// lanes. The workload is arrival-invariant (read-only table + additive
-// integer-valued buffered updates), so every configuration must be
-// bit-for-bit identical to the inline run; a mismatch is the only failure
-// (exit 1).
+// real-time-charged link. The master gathers every round's replies on its
+// service loop. In the pinned run a serving tier publishes (pins) both
+// tables at every pass boundary, so the masters are paged and each round's
+// flushes clone the pages the pin shares. The workload is arrival-invariant
+// (read-only table + additive integer-valued buffered updates), so the
+// pinned run must be bit-for-bit identical to the flat one; a mismatch is
+// the only failure (exit 1).
 //
-// Sweep 2 (writers vs pinned readers): the skewed-wavefront recurrence
-// flushes unbuffered server writes (kOverwrite) mid-pass while gather tasks
-// for the next steps are in flight. Gathers read pinned snapshots with no
-// lock held and writers pay only for the pages they actually clone; the
-// result must match an inline-serving run bit for bit (exit 1 otherwise).
+// Sweep 2 (writers vs a pinned version): the skewed-wavefront recurrence
+// flushes unbuffered server writes (kOverwrite) mid-pass while the tier's
+// pin shares the pages; writers pay only for the pages they actually clone,
+// and the result must match the flat run bit for bit (exit 1 otherwise).
 //
 // Results go to BENCH_versioned_store.json for the CI smoke step.
-#include <algorithm>
+#include <utility>
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -53,22 +50,18 @@ NetCostModel SlowLink() {
 
 // ---- Sweep 1: 1D chunked serving ----
 
-struct OneDConfig {
-  bool async_serving = true;  // false: the inline baseline
-  int shards = 4;
-};
-
 struct OneDResult {
   double sec_per_pass = 0.0;
   double serve_seconds = 0.0;
   u64 snapshot_pins = 0;
   u64 pages_cloned = 0;
-  u64 stripe_gather_ns = 0;
+  u64 cow_bytes = 0;
   std::map<i64, std::vector<f32>> table_w;
   f64 accum = 0.0;
 };
 
-OneDResult Run1D(const OneDConfig& c) {
+// `pinned`: a serving tier publishes both tables at every pass boundary.
+OneDResult Run1D(bool pinned) {
   constexpr i64 kSamples = 1536;
   constexpr i64 kKeys = 6000;
   constexpr int kRounds = 4;
@@ -78,8 +71,6 @@ OneDResult Run1D(const OneDConfig& c) {
   cfg.num_workers = kWorkers;
   cfg.net = SlowLink();
   cfg.seed = 17;
-  cfg.async_param_serving = c.async_serving;
-  cfg.param_server_shards = c.shards;
   Driver driver(cfg);
 
   auto samples = driver.CreateDistArray("samples", {kSamples}, 3, Density::kDense);
@@ -127,6 +118,9 @@ OneDResult Run1D(const OneDConfig& c) {
   ORION_CHECK_OK(loop.status());
   ORION_CHECK(driver.PlanOf(*loop).form == ParallelForm::k1D);
   ORION_CHECK(driver.PlanOf(*loop).placements.at(table_r).scheme == PartitionScheme::kServer);
+  if (pinned) {
+    ORION_CHECK_OK(driver.StartServingTier({table_r, table_w}).status());
+  }
 
   OneDResult res;
   for (int p = 0; p < kPasses; ++p) {
@@ -136,9 +130,7 @@ OneDResult Run1D(const OneDConfig& c) {
     res.serve_seconds += m.param_serve_seconds;
     res.snapshot_pins += m.versioned_snapshot_pins;
     res.pages_cloned += m.versioned_pages_cloned;
-    for (const auto& s : m.stripes) {
-      res.stripe_gather_ns += s.gather_ns;
-    }
+    res.cow_bytes += m.versioned_cow_bytes;
   }
   res.sec_per_pass /= kPasses;
   res.table_w = Snapshot(&driver, table_w);
@@ -150,25 +142,23 @@ bool Identical(const OneDResult& a, const OneDResult& b) {
   return a.table_w == b.table_w && a.accum == b.accum;
 }
 
-// ---- Sweep 2: wavefront writers vs pinned readers ----
+// ---- Sweep 2: wavefront writers vs a pinned version ----
 
 struct WaveResult {
   double sec_per_pass = 0.0;
-  u64 stripe_gather_ns = 0;
+  double serve_seconds = 0.0;
   u64 pages_cloned = 0;
   u64 cow_bytes = 0;
   std::map<i64, std::vector<f32>> out;
 };
 
-WaveResult RunWave(bool async_serving) {
+WaveResult RunWave(bool pinned) {
   const i64 n = 40;
   const i64 m = 32;
 
   DriverConfig cfg;
   cfg.num_workers = kWorkers;
   cfg.seed = 23;
-  cfg.async_param_serving = async_serving;
-  cfg.param_server_shards = 4;
   Driver driver(cfg);
   auto grid = driver.CreateDistArray("grid", {n, m}, 1, Density::kSparse);
   auto b = driver.CreateDistArray("B", {n, m}, 1, Density::kDense);
@@ -215,6 +205,9 @@ WaveResult RunWave(bool async_serving) {
   auto loop = driver.Compile(spec, kernel, {});
   ORION_CHECK_OK(loop.status());
   ORION_CHECK(driver.PlanOf(*loop).form == ParallelForm::k2DUnimodular);
+  if (pinned) {
+    ORION_CHECK_OK(driver.StartServingTier({c}).status());
+  }
 
   WaveResult res;
   constexpr int kPasses = 3;
@@ -222,11 +215,9 @@ WaveResult RunWave(bool async_serving) {
     ORION_CHECK_OK(driver.Execute(*loop));
     const LoopMetrics& lm = driver.last_metrics();
     res.sec_per_pass += lm.pass_wall_seconds;
+    res.serve_seconds += lm.param_serve_seconds;
     res.pages_cloned += lm.versioned_pages_cloned;
     res.cow_bytes += lm.versioned_cow_bytes;
-    for (const auto& s : lm.stripes) {
-      res.stripe_gather_ns += s.gather_ns;
-    }
   }
   res.sec_per_pass /= kPasses;
   res.out = Snapshot(&driver, c);
@@ -235,89 +226,67 @@ WaveResult RunWave(bool async_serving) {
 
 int Main() {
   PrintHeader("versioned copy-on-write parameter store",
-              "1D snapshot serving vs inline baseline (real-time-charged link), and "
-              "wavefront overwrites racing pinned gathers vs inline serving");
+              "1D serving and wavefront overwrites on a flat master vs a paged master "
+              "a serving tier pins every pass (real-time-charged link for 1D)");
 
-  OneDConfig inline_cfg;
-  inline_cfg.async_serving = false;
-  const OneDResult baseline = Run1D(inline_cfg);
-  ORION_CHECK(baseline.snapshot_pins == 0);
-
-  struct Point {
-    int shards;
-    OneDResult res;
-    bool identical;
-  };
-  std::vector<Point> points;
-  bool identical = true;
-  std::printf("config,sec_per_pass,speedup_vs_inline,serve_sec,pins,stripe_gather_ns,identical\n");
-  std::printf("inline,%.4f,1.00,,,,\n", baseline.sec_per_pass);
-  for (int shards : {1, 4}) {
-    OneDConfig c;
-    c.shards = shards;
-    Point p{shards, Run1D(c), false};
-    p.identical = Identical(baseline, p.res);
-    if (!p.identical) {
-      std::printf("MISMATCH: shards=%d not bit-for-bit identical to inline\n", shards);
-      identical = false;
-    }
-    ORION_CHECK(p.res.snapshot_pins > 0);
-    std::printf("snap_s%d,%.4f,%.2f,%.4f,%llu,%llu,%d\n", shards, p.res.sec_per_pass,
-                baseline.sec_per_pass / p.res.sec_per_pass, p.res.serve_seconds,
-                static_cast<unsigned long long>(p.res.snapshot_pins),
-                static_cast<unsigned long long>(p.res.stripe_gather_ns), p.identical ? 1 : 0);
-    points.push_back(std::move(p));
+  const OneDResult flat = Run1D(/*pinned=*/false);
+  ORION_CHECK(flat.snapshot_pins == 0);
+  const OneDResult pinned = Run1D(/*pinned=*/true);
+  ORION_CHECK(pinned.snapshot_pins > 0);
+  bool identical = Identical(flat, pinned);
+  if (!identical) {
+    std::printf("MISMATCH: 1D pinned run not bit-for-bit identical to flat\n");
   }
-  double best_speedup = 0.0;
-  for (const Point& p : points) {
-    best_speedup = std::max(best_speedup, baseline.sec_per_pass / p.res.sec_per_pass);
+  std::printf("config,sec_per_pass,serve_sec,pins,pages_cloned,cow_bytes,identical\n");
+  for (const auto& [name, r] : {std::pair<const char*, const OneDResult*>{"1d_flat", &flat},
+                                {"1d_pinned", &pinned}}) {
+    std::printf("%s,%.4f,%.4f,%llu,%llu,%llu,%d\n", name, r->sec_per_pass, r->serve_seconds,
+                static_cast<unsigned long long>(r->snapshot_pins),
+                static_cast<unsigned long long>(r->pages_cloned),
+                static_cast<unsigned long long>(r->cow_bytes), identical ? 1 : 0);
   }
 
-  const WaveResult inline_wave = RunWave(/*async_serving=*/false);
-  const WaveResult snap = RunWave(/*async_serving=*/true);
-  const bool wave_identical = inline_wave.out == snap.out;
+  const WaveResult flat_wave = RunWave(/*pinned=*/false);
+  const WaveResult pinned_wave = RunWave(/*pinned=*/true);
+  const bool wave_identical = flat_wave.out == pinned_wave.out;
   if (!wave_identical) {
     identical = false;
-    std::printf("MISMATCH: wavefront snapshot run differs from inline run\n");
+    std::printf("MISMATCH: wavefront pinned run differs from flat run\n");
   }
-  std::printf("wavefront inline:   sec_per_pass=%.4f\n", inline_wave.sec_per_pass);
-  std::printf("wavefront snapshot: sec_per_pass=%.4f gather=%.3fms pages_cloned=%llu "
-              "cow_bytes=%llu\n",
-              snap.sec_per_pass, snap.stripe_gather_ns * 1e-6,
-              static_cast<unsigned long long>(snap.pages_cloned),
-              static_cast<unsigned long long>(snap.cow_bytes));
+  for (const auto& [name, r] :
+       {std::pair<const char*, const WaveResult*>{"wave_flat", &flat_wave},
+        {"wave_pinned", &pinned_wave}}) {
+    std::printf("%s,%.4f,%.4f,,%llu,%llu,%d\n", name, r->sec_per_pass, r->serve_seconds,
+                static_cast<unsigned long long>(r->pages_cloned),
+                static_cast<unsigned long long>(r->cow_bytes), wave_identical ? 1 : 0);
+  }
 
-  std::vector<std::string> sweep_rows;
-  for (const Point& p : points) {
-    sweep_rows.push_back(
-        JsonF("{\"shards\": %d, \"sec_per_pass\": %.6f, "
-              "\"speedup_vs_inline\": %.3f, \"serve_sec\": %.6f, "
-              "\"snapshot_pins\": %llu, \"stripe_gather_ns\": %llu, "
-              "\"identical\": %s}",
-              p.shards, p.res.sec_per_pass, baseline.sec_per_pass / p.res.sec_per_pass,
-              p.res.serve_seconds, static_cast<unsigned long long>(p.res.snapshot_pins),
-              static_cast<unsigned long long>(p.res.stripe_gather_ns),
-              p.identical ? "true" : "false"));
-  }
+  auto one_d = [](const OneDResult& r) {
+    return JsonF("{\"sec_per_pass\": %.6f, \"serve_sec\": %.6f, \"snapshot_pins\": %llu, "
+                 "\"pages_cloned\": %llu, \"cow_bytes\": %llu}",
+                 r.sec_per_pass, r.serve_seconds,
+                 static_cast<unsigned long long>(r.snapshot_pins),
+                 static_cast<unsigned long long>(r.pages_cloned),
+                 static_cast<unsigned long long>(r.cow_bytes));
+  };
+  auto wave = [](const WaveResult& r) {
+    return JsonF("{\"sec_per_pass\": %.6f, \"serve_sec\": %.6f, \"pages_cloned\": %llu, "
+                 "\"cow_bytes\": %llu}",
+                 r.sec_per_pass, r.serve_seconds,
+                 static_cast<unsigned long long>(r.pages_cloned),
+                 static_cast<unsigned long long>(r.cow_bytes));
+  };
   BenchJson("versioned_store")
-      .Figure("inline_sec", baseline.sec_per_pass)
-      .Figure("sweep", BenchJson::Array(sweep_rows))
-      .Figure("wavefront",
-              JsonF("{\"inline_sec_per_pass\": %.6f, \"snapshot_sec_per_pass\": %.6f, "
-                    "\"snapshot_gather_ns\": %llu, \"snapshot_pages_cloned\": %llu, "
-                    "\"snapshot_cow_bytes\": %llu, \"identical\": %s}",
-                    inline_wave.sec_per_pass, snap.sec_per_pass,
-                    static_cast<unsigned long long>(snap.stripe_gather_ns),
-                    static_cast<unsigned long long>(snap.pages_cloned),
-                    static_cast<unsigned long long>(snap.cow_bytes),
-                    wave_identical ? "true" : "false"))
-      .Figure("best_speedup_vs_inline", JsonF("%.3f", best_speedup))
+      .Figure("one_d_flat", one_d(flat))
+      .Figure("one_d_pinned", one_d(pinned))
+      .Figure("wavefront_flat", wave(flat_wave))
+      .Figure("wavefront_pinned", wave(pinned_wave))
       .Figure("bit_for_bit_identical", identical)
       .Write();
 
-  PrintShape("1D snapshot serving beats the inline baseline by >= 1.15x",
-             best_speedup >= 1.15);
-  PrintShape("all configurations bit-for-bit identical", identical);
+  PrintShape("writers under a live pin clone pages instead of blocking",
+             pinned.pages_cloned > 0 && pinned_wave.pages_cloned > 0);
+  PrintShape("pinned and flat masters bit-for-bit identical", identical);
   return identical ? 0 : 1;
 }
 

@@ -1,9 +1,11 @@
 // Recommender-system example: train matrix factorization on a synthetic
 // power-law ratings dataset (the paper's Netflix workload stand-in), with
-// adaptive revision, checkpointing, and a few sample predictions.
+// adaptive revision, delta-log checkpoints with point-in-time restore, and a
+// few sample predictions.
 //
 // Run: ./recommender_mf
 #include <cstdio>
+#include <filesystem>
 
 #include "src/apps/sgd_mf.h"
 
@@ -29,6 +31,13 @@ int main() {
   ORION_CHECK_OK(app.Init(data, data_cfg.rows, data_cfg.cols));
   std::printf("plan: %s\n\n", app.train_plan().ToString().c_str());
 
+  // Checkpoint the factors after every pass (paper Sec. 4.3 fault
+  // tolerance) to an append-only delta log.
+  const std::string ckpt_dir =
+      (std::filesystem::temp_directory_path() / "orion_mf_log").string();
+  std::filesystem::remove_all(ckpt_dir);
+  ORION_CHECK_OK(driver.EnableDurability({app.w(), app.h()}, ckpt_dir));
+
   for (int pass = 1; pass <= 12; ++pass) {
     ORION_CHECK_OK(app.RunPass());
     if (pass % 3 == 0) {
@@ -36,11 +45,14 @@ int main() {
     }
   }
 
-  // Checkpoint the factors (paper Sec. 4.3 fault tolerance) and restore.
-  const std::string ckpt = "/tmp/orion_mf_w.ckpt";
-  ORION_CHECK_OK(driver.Checkpoint(app.w(), ckpt));
-  ORION_CHECK_OK(driver.Restore(app.w(), ckpt));
-  std::printf("\ncheckpointed and restored W (%s)\n", ckpt.c_str());
+  // Every pass, the loss passes included, is a restore point. Rewind the
+  // cluster to the latest one: the factors come back bit-for-bit.
+  const auto points = driver.DurabilityPoints();
+  ORION_CHECK_OK(points.status());
+  const i64 latest = points->back().pass;
+  ORION_CHECK_OK(driver.RestoreToPass(latest));
+  std::printf("\nrestored the checkpoint after pass %lld from %s: NZSL = %.1f\n",
+              static_cast<long long>(latest), ckpt_dir.c_str(), *app.EvalLoss());
 
   // A few predictions from the learned factors.
   const CellStore& w = driver.Cells(app.w());
@@ -57,5 +69,6 @@ int main() {
     std::printf("  (%4lld, %4lld) -> %5.2f vs %5.2f\n", static_cast<long long>(e.row),
                 static_cast<long long>(e.col), pred, e.value);
   }
+  std::filesystem::remove_all(ckpt_dir);
   return 0;
 }

@@ -33,7 +33,7 @@ namespace trace {
 enum class Category : u16 {
   kDriver = 0,       // master pass lifecycle
   kExecutor = 1,     // worker step phases (sequential on the worker thread)
-  kParamServer = 2,  // shard gather + reply assembly (master pool threads)
+  kParamServer = 2,  // param-reply gather (master service loop)
   kSender = 3,       // AsyncSender lane activity
   kFabric = 4,       // individual send/recv with message kind
 };
@@ -65,8 +65,8 @@ void SetEnabled(bool on);
 // ---- Per-thread context ------------------------------------------------
 
 // Tags the calling thread with a logical rank. Untagged threads default to
-// kMasterRank (-1): the driver thread, ParamServer pool threads and the
-// master's sender lanes need no plumbing.
+// kMasterRank (-1): the driver thread and the master's reply lanes need no
+// plumbing.
 void SetThreadRank(i32 rank);
 i32 ThreadRank();
 

@@ -1,5 +1,5 @@
-// Log-structured durability for the driver's master state (ROADMAP
-// "log-structured durability"; replaces whole-store CheckpointWrite cycles).
+// Log-structured durability for the driver's master state: the one on-disk
+// checkpoint format (paper Sec. 4.3 fault tolerance).
 //
 // On-disk layout inside one log directory:
 //
@@ -17,7 +17,7 @@
 // truncates the WAL, and a reader skips any surviving WAL record with
 // seq <= base_seq (the crash window between base rename and WAL truncate).
 //
-// Durability discipline (shared with CheckpointWrite via durable_io):
+// Durability discipline (src/common/durable_io.h):
 // appends are write+fsync on the WAL fd; base replacement is write-temp,
 // fsync, rename, fsync-directory. A torn WAL tail — from a crash mid-append
 // — fails its size or checksum check; readers stop at the last valid record

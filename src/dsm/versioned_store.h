@@ -10,12 +10,13 @@
 //    (BeginServing() paginates; Flat() collapses back). In this mode
 //    `Pin()` publishes the current version as an immutable Snapshot — two
 //    shared_ptr refcount bumps, no copy — and writers clone only the pages
-//    they touch, so parameter-serving gather tasks copy cells out of a
-//    pinned snapshot without holding any lock across the copy.
+//    they touch, so serving-tier threads copy cells out of a pinned
+//    snapshot without holding any lock across the copy. Paged mode also
+//    tracks dirty pages for delta checkpoints.
 //
 // Concurrency contract (what makes this TSan-clean without a lock):
 //  - All mutation, Pin(), BeginServing() and Flat() happen on one writer
-//    thread (the master's service loop). Pool threads only read through
+//    thread (the master's service loop). Other threads only read through
 //    Snapshots.
 //  - The store keeps a shared atomic pin counter. Snapshot's destructor
 //    drops its page-table/index references FIRST and then decrements the
@@ -159,7 +160,7 @@ class VersionedCellStore {
   explicit VersionedCellStore(CellStore flat) : flat_(std::move(flat)) {}
 
   // Replaces the contents wholesale (restores, re-creates). Requires no
-  // live snapshots — recovery quiesces the ParamServer first.
+  // live snapshots — the driver quiesces the serving tier first.
   VersionedCellStore& operator=(CellStore flat) {
     DropPages();
     flat_ = std::move(flat);
@@ -171,7 +172,8 @@ class VersionedCellStore {
   i64 NumCells() const { return paged_ ? num_cells_ : flat_.NumCells(); }
 
   // The flat CellStore view, collapsing the pages back first if needed.
-  // Collapse requires no live snapshots (call after ParamServer::Quiesce).
+  // Collapse requires no live snapshots (the driver quiesces the serving
+  // tier first).
   CellStore& Flat() {
     if (paged_) {
       Collapse();

@@ -1,6 +1,6 @@
 // Background monitor: a sampler thread that snapshots live gauges the
-// registry cannot see — fabric queue depths, prefetch-ring fill, ParamServer
-// in-flight gathers, pinned-snapshot counts, buffer-pool occupancy, per-rank
+// registry cannot see — fabric queue depths, prefetch-ring fill, param-reply
+// lane backlog, pinned-snapshot counts, buffer-pool occupancy, per-rank
 // pass/step watermarks — into a bounded ring of timestamped samples.
 //
 // Probes are plain std::function<double()> registered before Start(); each

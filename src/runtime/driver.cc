@@ -1,7 +1,6 @@
 #include "src/runtime/driver.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
 #include "src/common/buffer_pool.h"
@@ -23,7 +22,8 @@ u32 PartTag(int tau) { return static_cast<u32>(tau + 1); }
 Driver::Driver(const DriverConfig& config)
     : config_(config),
       fabric_(std::make_unique<Fabric>(config.num_workers, config.net,
-                                       config.stats_bucket_seconds)) {
+                                       config.stats_bucket_seconds)),
+      reply_lanes_(fabric_.get(), config.num_workers) {
   ORION_CHECK(config.num_workers > 0);
   // Fault injection requires supervision: without retransmits and heartbeats
   // a single dropped control message would hang the run.
@@ -34,10 +34,6 @@ Driver::Driver(const DriverConfig& config)
   }
   fabric_->SetZeroCopy(config_.zero_copy);
   dir_.SetSupervisor(config_.supervisor);
-  if (config_.async_param_serving) {
-    param_server_ = std::make_unique<ParamServer>(
-        fabric_.get(), std::max(1, config_.param_server_shards), config_.num_workers);
-  }
   live_ranks_.resize(static_cast<size_t>(config.num_workers));
   for (int w = 0; w < config.num_workers; ++w) {
     live_ranks_[static_cast<size_t>(w)] = w;
@@ -59,7 +55,7 @@ Driver::Driver(const DriverConfig& config)
 }
 
 Driver::~Driver() {
-  // The endpoint and monitor hold probe closures over fabric_, param_server_
+  // The endpoint and monitor hold probe closures over fabric_, reply_lanes_
   // and executors_; stop them before any of that goes away. The serving tier
   // stops next: its workers may still be finishing client batches, and its
   // pins must release before the masters die.
@@ -124,9 +120,8 @@ const DistArrayMeta& Driver::Meta(DistArrayId id) const { return Host(id).meta; 
 CellStore& Driver::MutableCells(DistArrayId id) {
   GatherToDriver(id);
   // Flat() collapses the versioned pages back into a plain CellStore; legal
-  // here because no pass is in flight (the ParamServer quiesced at pass end,
-  // so no snapshot pins are live) and the serving tier — the one pin holder
-  // that outlives passes — drains and unpins first.
+  // here because no pass is in flight and the serving tier — the one pin
+  // holder — drains and unpins first.
   QuiesceServingFor(id);
   return Host(id).master.Flat();
 }
@@ -216,25 +211,6 @@ DistArrayId Driver::GroupByDim(DistArrayId src, int dim, const std::string& name
     reduce(out_cells.GetOrCreate(idx[static_cast<size_t>(dim)]), idx, value);
   });
   return out;
-}
-
-Status Driver::Checkpoint(DistArrayId id, const std::string& path) {
-  return CheckpointWrite(path, MutableCells(id));
-}
-
-Status Driver::Restore(DistArrayId id, const std::string& path) {
-  auto cells = CheckpointRead(path);
-  ORION_RETURN_IF_ERROR(cells.status());
-  ArrayHost& h = Host(id);
-  if (h.on_workers) {
-    GatherToDriver(id);
-  }
-  if (cells->value_dim() != h.meta.value_dim) {
-    return Status::InvalidArgument("checkpoint value_dim mismatch for " + h.meta.name);
-  }
-  QuiesceServingFor(id);  // wholesale replacement drops pages (needs no pins)
-  h.master = std::move(cells).value();
-  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -705,18 +681,23 @@ void Driver::EnsureScattered(const CompiledLoop& cl) {
 // ---------------------------------------------------------------------------
 // Pass execution (master service loop)
 
-void Driver::ServeParamRequestInline(const ParamRequest& req, WorkerId from) {
+void Driver::ServeParamRequest(const ParamRequest& req, WorkerId from) {
+  ORION_TRACE_SPAN(kParamServer, "gather");
   ArrayHost& h = Host(req.array);
   if (req.speculative) {
     ++last_metrics_.spec_requests_served;
   }
   CpuStopwatch sw;
-  Message reply =
-      BuildParamReply(req, h.master.Flat(), h.meta.value_dim, h.meta.key_space.total(),
-                      fabric_->zero_copy());
+  // Reads the live master, flat or paged: the service loop is its only
+  // writer, so every update dequeued before this request is visible and
+  // nothing later is.
+  Message reply = BuildParamReply(req, h.master, h.meta.value_dim, h.meta.key_space.total(),
+                                  fabric_->zero_copy());
   reply.to = from;
   last_metrics_.param_serve_seconds += sw.ElapsedSeconds();
-  fabric_->Send(std::move(reply));
+  reply_lanes_.Enqueue(std::move(reply));
+  last_metrics_.param_shard_queue_depth_max = std::max(
+      last_metrics_.param_shard_queue_depth_max, static_cast<int>(reply_lanes_.QueueDepth()));
 }
 
 void Driver::BroadcastReplicaSnapshot(const CompiledLoop& cl, DistArrayId array) {
@@ -806,30 +787,17 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
   last_metrics_.versioned_snapshot_pins = 0;
   last_metrics_.versioned_pages_cloned = 0;
   last_metrics_.versioned_cow_bytes = 0;
-  last_metrics_.stripes.clear();
   last_metrics_.worker_reply_wait.assign(static_cast<size_t>(active), WaitHistogram{});
   std::vector<DistArrayId> returned;
 
-  // Sharded async serving from pinned snapshots. 1D chunked loops rely on
-  // prompt mid-pass freshness (a round's request, queued behind its flushes
-  // on the FIFO master link, must read the just-applied state); the snapshot
-  // is pinned at dequeue time on this single-threaded service loop, so it
-  // already reflects every update dequeued before the request — which makes
-  // the async path bit-for-bit identical to inline serving.
-  const bool async_serving = param_server_ != nullptr;
-  if (async_serving) {
-    param_server_->ResetPassStats();
-  }
   auto logical_of = [&](int physical) {
     return static_cast<int>(std::find(live_ranks_.begin(), live_ranks_.end(), physical) -
                             live_ranks_.begin());
   };
   auto abort_pass = [&](int lost) {
-    // Gather tasks may still pin snapshots of masters the recovery path is
-    // about to replace; drain them before unwinding.
-    if (async_serving) {
-      param_server_->Quiesce();
-    }
+    // Deliver the replies still queued on the lanes before recovery
+    // reconfigures the cluster.
+    reply_lanes_.Flush();
     return PassOutcome{false, lost};
   };
 
@@ -942,7 +910,7 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
           return abort_pass(w);
         }
         if (!started[w] && now >= next_retry[w]) {
-          if (retries[w] >= sup.max_retries) {
+          if (retries[w] >= kMaxRetries) {
             return abort_pass(w);
           }
           ++retries[w];
@@ -985,20 +953,10 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
     switch (msg->kind) {
       case MsgKind::kParamRequest: {
         started[msg->from] = true;
-        ParamRequest req = TakeParamRequest(*msg);
-        if (async_serving) {
-          ArrayHost& h = Host(req.array);
-          // Paginate lazily on the first request ever served for this array;
-          // pages then persist across passes (mutations between requests go
-          // through the copy-on-write writer path).
-          if (!h.master.paged()) {
-            h.master.BeginServing();
-          }
-          param_server_->HandleRequestSnapshot(std::move(req), msg->from, h.master.Pin(),
-                                               h.meta.value_dim, h.meta.key_space.total());
-        } else {
-          ServeParamRequestInline(req, msg->from);
-        }
+        // 1D chunked loops rely on prompt mid-pass freshness: a round's
+        // request, queued behind the same worker's flushes on the FIFO
+        // master link, reads the state those flushes left.
+        ServeParamRequest(TakeParamRequest(*msg), msg->from);
         break;
       }
       case MsgKind::kParamUpdate: {
@@ -1020,8 +978,8 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
         if (server_buffered) {
           deferred_server.emplace_back(msg->from, std::move(pd));
         } else {
-          // The writer clones only the pages it touches, so in-flight
-          // snapshot gathers keep reading their pinned version.
+          // On a paged master the writer clones only the pages a serving-tier
+          // pin still shares.
           ApplyParamUpdate(&cl, std::move(pd), msg->tag);
         }
         break;
@@ -1167,30 +1125,9 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
     BufferPool::Release(std::move(msg->payload));
   }
 
-  // Every worker has sent kPassDone, and worker->master links are FIFO, so
-  // every request of this pass has been handed to the server; drain it before
-  // the deferred applies mutate master state.
-  if (async_serving) {
-    param_server_->Quiesce();
-    last_metrics_.param_serve_seconds += param_server_->serve_seconds();
-    last_metrics_.param_shard_queue_depth_max = param_server_->max_queue_depth();
-    last_metrics_.spec_requests_served += param_server_->speculative_served();
-    const std::vector<ParamStripeStats> stripes = param_server_->StripeStatsSnapshot();
-    if (stripe_totals_.size() < stripes.size()) {
-      stripe_totals_.resize(stripes.size());
-    }
-    last_metrics_.stripes.resize(stripes.size());
-    for (size_t i = 0; i < stripes.size(); ++i) {
-      auto& d = last_metrics_.stripes[i];
-      d.gather_ns = stripes[i].gather_ns;
-      d.tasks = stripes[i].tasks;
-      d.queue_depth_max = stripes[i].queue_depth_max;
-      stripe_totals_[i].gather_ns += stripes[i].gather_ns;
-      stripe_totals_[i].tasks += stripes[i].tasks;
-      stripe_totals_[i].queue_depth_max =
-          std::max(stripe_totals_[i].queue_depth_max, stripes[i].queue_depth_max);
-    }
-  }
+  // Every worker has sent kPassDone, so it consumed every reply it waited
+  // for; drain the lanes so no reply of this pass is still in flight.
+  reply_lanes_.Flush();
 
   // Pass-end application of the deferred server updates, in logical-rank
   // order. stable_sort keeps each worker's own flushes in send (FIFO) order.
@@ -1222,26 +1159,25 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
     Host(id).on_workers = false;
   }
 
-  // Copy-on-write accounting for this pass (pins taken, pages cloned by
-  // mid-pass writers, bytes copied for those clones).
-  if (async_serving) {
-    for (const auto& [id, placement] : cl.plan.placements) {
-      if (placement.scheme != PartitionScheme::kServer) {
-        continue;
-      }
-      ArrayHost& h = Host(id);
-      if (!h.master.paged()) {
-        continue;
-      }
-      const VersionedCellStore::Stats vs = h.master.TakeStats();
-      last_metrics_.versioned_snapshot_pins += vs.pins;
-      last_metrics_.versioned_pages_cloned += vs.pages_cloned;
-      last_metrics_.versioned_cow_bytes += vs.cow_bytes;
-      // Pass end is a quiesced point (param server drained, no live pins):
-      // safe to repaginate if the observed write sparsity says the page
-      // size is wrong for this array.
-      h.master.AutoTunePageSize();
+  // Copy-on-write accounting for this pass on paged server-hosted masters
+  // (pins taken, pages cloned by mid-pass writers, bytes copied for those
+  // clones).
+  for (const auto& [id, placement] : cl.plan.placements) {
+    if (placement.scheme != PartitionScheme::kServer) {
+      continue;
     }
+    ArrayHost& h = Host(id);
+    if (!h.master.paged()) {
+      continue;
+    }
+    const VersionedCellStore::Stats vs = h.master.TakeStats();
+    last_metrics_.versioned_snapshot_pins += vs.pins;
+    last_metrics_.versioned_pages_cloned += vs.pages_cloned;
+    last_metrics_.versioned_cow_bytes += vs.cow_bytes;
+    // Pass end is a quiesced point: repaginate if the observed write
+    // sparsity says the page size is wrong for this array (a no-op while a
+    // serving-tier pin is live).
+    h.master.AutoTunePageSize();
   }
 
   // One straggler-detector round over per-rank compute time (the only
@@ -1293,6 +1229,13 @@ std::vector<ArrayCheckpointRef> Driver::DurableArrayRefs() {
       // passes, so they are checkpointed in place — pagination (and with it
       // the dirty-page tracking that makes deltas small) stays intact.
       GatherToDriver(id);
+    }
+    if (h.on_workers && h.placement.scheme == PartitionScheme::kServer &&
+        !h.master.paged()) {
+      // A server-hosted master takes its updates in place all training long,
+      // so paginate it: from the next mark on, a checkpoint ships only the
+      // pages written since the last one.
+      h.master.BeginServing();
     }
     refs.push_back({h.meta.name, &h.master});
   }
@@ -1437,11 +1380,9 @@ Status Driver::Recover(int lost_physical_rank) {
   Stopwatch sw;
   ++runtime_metrics_.workers_lost;
   ++runtime_metrics_.recoveries;
-  if (param_server_ != nullptr) {
-    // The aborted pass already quiesced, but be defensive: the restore below
-    // rewrites master stores that in-flight gathers would read.
-    param_server_->Quiesce();
-  }
+  // The aborted pass already flushed, but be defensive: no reply of the
+  // failed configuration may still be in flight once the retire starts.
+  reply_lanes_.Flush();
   if (injector_ != nullptr) {
     // Anything the injector still holds back predates the failure and must
     // not leak into the new configuration.
@@ -1609,9 +1550,7 @@ Status Driver::RestoreToPass(i64 pass) {
   if (!state.ok()) {
     return state.status();
   }
-  if (param_server_ != nullptr) {
-    param_server_->Quiesce();
-  }
+  reply_lanes_.Flush();
   // Rewinding the pass counter means re-issuing pass numbers the workers
   // have already seen; reconfigure resets their watermarks and drops their
   // partitions so the next scatter streams the restored cells.
@@ -1637,8 +1576,8 @@ StatusOr<std::vector<RestorePoint>> Driver::DurabilityPoints() const {
 }
 
 const std::vector<trace::Span>& Driver::CollectTrace() {
-  // Scoop up everything not yet shipped: the master's own threads (driver,
-  // ParamServer pool, sender lanes) and any worker spans left in their rings
+  // Scoop up everything not yet shipped: the master's own threads (driver
+  // service loop, reply lanes) and any worker spans left in their rings
   // (e.g. recorded after the last PassDone or at halt). Draining removes
   // spans from the rings, so repeated collection never duplicates.
   std::vector<trace::Span> rest = trace::DrainAll();
@@ -1654,20 +1593,6 @@ Status Driver::DumpTrace(const std::string& path) {
 std::string Driver::CriticalPathReport() {
   std::string out =
       trace::FormatCriticalPathTable(trace::AnalyzeCriticalPath(CollectTrace()));
-  if (!stripe_totals_.empty()) {
-    // Stripe-load heatmap, cumulative over all async passes: copy time and
-    // gather tasks per stripe.
-    out += "param stripes (cumulative):";
-    for (size_t i = 0; i < stripe_totals_.size(); ++i) {
-      const auto& s = stripe_totals_[i];
-      char buf[96];
-      std::snprintf(buf, sizeof buf, " [%zu] gather=%.3fms tasks=%llu", i,
-                    static_cast<double>(s.gather_ns) / 1e6,
-                    static_cast<unsigned long long>(s.tasks));
-      out += buf;
-    }
-    out += "\n";
-  }
   out += straggler_.Verdict();
   out += "\n";
   return out;
@@ -1713,7 +1638,7 @@ Status Driver::DumpBlackBox(const std::string& path) {
 void Driver::RegisterMonitorProbes() {
   // Every closure below reads an atomic or takes a short uncontended mutex,
   // and captures only objects whose addresses outlive the monitor: fabric_,
-  // param_server_, the stable gauge/watermark arrays, and ArrayHost masters
+  // reply_lanes_, the stable gauge/watermark arrays, and ArrayHost masters
   // (arrays_ holds them by unique_ptr). Never an Executor — rejoin replaces
   // those.
   Fabric* fabric = fabric_.get();
@@ -1740,17 +1665,10 @@ void Driver::RegisterMonitorProbes() {
       return static_cast<double>(rl->step.load(std::memory_order_relaxed));
     });
   }
-  if (param_server_ != nullptr) {
-    ParamServer* ps = param_server_.get();
-    monitor_->RegisterProbe("param.in_flight",
-                            [ps] { return static_cast<double>(ps->in_flight()); });
-    monitor_->RegisterProbe("param.stripe_inflight_max", [ps] {
-      return static_cast<double>(ps->stripe_inflight_max());
-    });
-    monitor_->RegisterProbe("param.reply_queue", [ps] {
-      return static_cast<double>(ps->reply_queue_depth());
-    });
-  }
+  const AsyncSender* lanes = &reply_lanes_;
+  monitor_->RegisterProbe("param.reply_queue", [lanes] {
+    return static_cast<double>(lanes->QueueDepth());
+  });
   // Pinned-snapshot counts for arrays that exist now; arrays created after
   // EnableMonitor are not probed (probes are fixed at Start).
   for (const auto& [id, host] : arrays_) {
@@ -1790,10 +1708,6 @@ void Driver::PublishObsSnapshot() {
 
 StatusOr<serve::ServingTier*> Driver::StartServingTier(std::vector<DistArrayId> arrays,
                                                        serve::ServingTierOptions options) {
-  if (param_server_ == nullptr) {
-    return Status::FailedPrecondition(
-        "serving tier requires async_param_serving (snapshot pins)");
-  }
   if (serving_tier_ != nullptr) {
     return Status::FailedPrecondition("serving tier already started");
   }
@@ -1920,13 +1834,6 @@ MetricsRegistry Driver::ExportMetrics() const {
   reg.SetCounter("spec.conflicts", lm.spec_conflicts);
   reg.SetCounter("spec.repair_bytes", lm.spec_repair_bytes);
   reg.SetCounter("spec.requests_served", lm.spec_requests_served);
-  for (size_t i = 0; i < lm.stripes.size(); ++i) {
-    const auto& s = lm.stripes[i];
-    const std::string p = "param.stripe." + std::to_string(i);
-    reg.SetCounter(p + ".gather_ns", s.gather_ns);
-    reg.SetCounter(p + ".tasks", s.tasks);
-    reg.SetCounter(p + ".queue_depth_max", static_cast<u64>(s.queue_depth_max));
-  }
   reg.SetCounter("pass.bytes_sent", lm.bytes_sent);
   reg.SetCounter("pass.messages_sent", lm.messages_sent);
   reg.SetGauge("pass.virtual_net_seconds", lm.virtual_net_seconds);
@@ -2268,7 +2175,7 @@ Driver::PassOutcome Driver::RunPassOnce(i32 loop_id) {
   }
 
   // Per-pass metric series (flattened into MetricsRegistry by
-  // ExportMetrics): the trend the controller and the stripe heatmap read.
+  // ExportMetrics): the trend the controller reads.
   metrics_series_["pass.wall_seconds"].push_back(last_metrics_.pass_wall_seconds);
   metrics_series_["pass.param_serve_seconds"].push_back(
       last_metrics_.param_serve_seconds);

@@ -35,14 +35,13 @@
 #include "src/obs/anomaly.h"
 #include "src/obs/metrics_endpoint.h"
 #include "src/obs/monitor.h"
-#include "src/dsm/checkpoint.h"
 #include "src/dsm/delta_log.h"
 #include "src/dsm/versioned_store.h"
+#include "src/net/async_sender.h"
 #include "src/net/fabric.h"
 #include "src/runtime/compiled_loop.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/metrics.h"
-#include "src/runtime/param_server.h"
 #include "src/runtime/recipe.h"
 #include "src/runtime/shared_directory.h"
 #include "src/serve/serving_tier.h"
@@ -64,18 +63,6 @@ struct DriverConfig {
   // Heartbeat / retry / death-timeout parameters. Supervision can also be
   // enabled without a fault plan to harden against real failures.
   SupervisorConfig supervisor{};
-  // Sharded asynchronous parameter serving from a versioned copy-on-write
-  // page store: the service loop pins a snapshot at request-dequeue time (a
-  // refcount bump), a stripe-sharded thread pool gathers from it with no
-  // lock held, and replies ship through per-worker comm lanes instead of
-  // blocking the master service loop. Writers clone only the pages they
-  // touch. A worker's own round-r flushes are dequeued (and applied) before
-  // its round-r+1 request on the same FIFO link, so the pinned snapshot
-  // preserves read-own-writes freshness exactly like the inline path.
-  // Bit-for-bit identical to inline serving (false: the service loop
-  // serves every request itself).
-  bool async_param_serving = true;
-  int param_server_shards = 4;
 };
 
 class Driver {
@@ -122,10 +109,6 @@ class Driver {
   using GroupReduceFn = std::function<void(f32* acc, const IndexVec& idx, const f32* value)>;
   DistArrayId GroupByDim(DistArrayId src, int dim, const std::string& name, i32 out_value_dim,
                          const GroupReduceFn& reduce);
-
-  // Checkpointing (paper Sec. 4.3 fault tolerance).
-  Status Checkpoint(DistArrayId id, const std::string& path);
-  Status Restore(DistArrayId id, const std::string& path);
 
   // ---- Buffers and accumulators ----
 
@@ -240,8 +223,8 @@ class Driver {
   // ---- Live observability (src/obs; paper-external telemetry plane) ----
 
   // Starts the background monitor thread: every `period_seconds` it samples
-  // live gauges (fabric queue depths, prefetch-ring fill, ParamServer
-  // in-flight, pinned snapshots, BufferPool occupancy, per-rank pass/step
+  // live gauges (fabric queue depths, prefetch-ring fill, param-reply
+  // backlog, pinned snapshots, BufferPool occupancy, per-rank pass/step
   // watermarks) into a bounded ring. Samples surface as "live.*" series in
   // ExportMetrics and on the metrics endpoint. Probes read only atomics and
   // short mutexes and feed nothing back into scheduling, so execution is
@@ -280,8 +263,9 @@ class Driver {
   // at start, and only when the master is authoritative at that boundary —
   // otherwise the previous version keeps serving. Serving never blocks the
   // training driver and never perturbs training results (bit-for-bit
-  // identical with the tier on or off). Requires async_param_serving. The
-  // returned pointer stays valid until the Driver dies.
+  // identical with the tier on or off). The tier's publishes are the only
+  // snapshot pins on a master. The returned pointer stays valid until the
+  // Driver dies.
   StatusOr<serve::ServingTier*> StartServingTier(std::vector<DistArrayId> arrays,
                                                  serve::ServingTierOptions options = {});
   // Drains + stops the tier and releases its pins. The tier object survives
@@ -306,9 +290,10 @@ class Driver {
  private:
   struct ArrayHost {
     DistArrayMeta meta;
-    // The authoritative driver-resident cells. Flat (a plain CellStore)
-    // between passes; paginated into the copy-on-write page store while a
-    // pass serves parameters from it (async_param_serving).
+    // The authoritative driver-resident cells: a plain CellStore until
+    // something needs pages — a serving-tier publish, or a checkpoint of a
+    // durable server-hosted array (dirty-page deltas) — then the
+    // copy-on-write page store. Parameter requests read either form.
     VersionedCellStore master;
     bool on_workers = false;
     // Valid when on_workers: how and under which grid it was scattered.
@@ -333,8 +318,9 @@ class Driver {
   };
   PassOutcome ServicePassMessages(const CompiledLoop& cl, i32 pass);
   PassOutcome RunPassOnce(i32 loop_id);  // one supervised pass attempt
-  // Synchronous serving path (1D loops, or async_param_serving off).
-  void ServeParamRequestInline(const ParamRequest& req, WorkerId from);
+  // Gathers the reply to `req` from the live master on the service loop and
+  // hands it to `from`'s reply lane.
+  void ServeParamRequest(const ParamRequest& req, WorkerId from);
 
   // Recovery machinery.
   Status WriteRecoveryCheckpoint();
@@ -376,9 +362,12 @@ class Driver {
   SharedDirectory dir_;
   std::vector<std::unique_ptr<Executor>> executors_;
   std::vector<std::thread> threads_;
-  // Declared after fabric_ so it quiesces and destroys first; null when
-  // async_param_serving is off.
-  std::unique_ptr<ParamServer> param_server_;
+  // Param replies leave through one comm lane per worker, so under a
+  // real-time-charged link the reply fan-out overlaps across workers and
+  // the service loop never sleeps in Fabric::Send. Each worker still sees
+  // its replies in FIFO order. Declared after fabric_ so it drains and
+  // destroys first.
+  AsyncSender reply_lanes_;
 
   std::map<DistArrayId, std::unique_ptr<ArrayHost>> arrays_;
   DistArrayId next_array_id_ = 0;
@@ -432,10 +421,8 @@ class Driver {
   // supervision resends carry the same batch, which must merge exactly once.
   std::map<int, u32> worker_span_seq_;
 
-  // Per-pass metric series (flattened into ExportMetrics' "series" section)
-  // and driver-lifetime stripe-load totals for CriticalPathReport.
+  // Per-pass metric series (flattened into ExportMetrics' "series" section).
   std::map<std::string, std::vector<double>> metrics_series_;
-  std::vector<ParamStripeStats> stripe_totals_;
 
   // ---- Serving tier (StartServingTier) ----
 
@@ -490,7 +477,7 @@ class Driver {
   void PublishObsSnapshot();
 
   // Declared last: the monitor thread and endpoint hold probe closures over
-  // fabric_/param_server_/executors_, so they must stop (destroy) first.
+  // fabric_/reply_lanes_/executors_, so they must stop (destroy) first.
   std::unique_ptr<obs::Monitor> monitor_;
   std::unique_ptr<obs::MetricsEndpoint> endpoint_;
 };

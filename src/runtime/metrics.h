@@ -24,9 +24,9 @@ struct LoopMetrics {
   double overlap_seconds = 0.0;
   double prefetch_wait_hidden_seconds = 0.0;
   u64 zero_copy_bytes = 0;               // wire bytes that skipped Encode/Decode
-  // Sharded async parameter serving (master side): CPU time spent gathering
-  // and assembling replies, and the peak number of requests concurrently in
-  // flight through the sharded path.
+  // Parameter serving (master side): service-loop CPU time spent gathering
+  // replies, and the peak reply-lane backlog (replies queued or mid-send
+  // toward workers, sampled as each reply is enqueued).
   double param_serve_seconds = 0.0;
   int param_shard_queue_depth_max = 0;
   // Depth-k prefetch ring: the deepest any worker's ring actually got.
@@ -46,20 +46,12 @@ struct LoopMetrics {
   double spec_hidden_seconds = 0.0;
   double spec_wait_seconds = 0.0;
   u64 spec_requests_served = 0;  // master-side: requests flagged speculative
-  // Versioned copy-on-write store (master side): snapshots pinned for
-  // serving, pages cloned by concurrent writers, and bytes those clones
-  // copied.
+  // Versioned copy-on-write store (paged server-hosted masters): snapshots
+  // pinned by serving-tier publishes, pages cloned by writers while a pin
+  // was live, and bytes those clones copied.
   u64 versioned_snapshot_pins = 0;
   u64 versioned_pages_cloned = 0;
   u64 versioned_cow_bytes = 0;
-  // Per-stripe load heatmap, indexed by stripe. Empty when the pass had no
-  // sharded serving.
-  struct StripeMetrics {
-    u64 gather_ns = 0;  // cell-copy time
-    u64 tasks = 0;
-    int queue_depth_max = 0;
-  };
-  std::vector<StripeMetrics> stripes;
 };
 
 // Cumulative fault-tolerance counters for one Driver lifetime: what the fault

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/serde.h"
+#include "src/common/simd.h"
 #include "src/common/trace.h"
 #include "src/common/types.h"
 #include "src/dsm/cell_store.h"
@@ -452,6 +453,38 @@ inline void MeterAsPerKeyReplies(Message* m, size_t num_keys, i32 value_dim) {
   const size_t per_msg = Message::kHeaderBytes + shell.EncodedSize();
   m->meter_messages = static_cast<u32>(num_keys);
   m->meter_extra_bytes = (num_keys - 1) * per_msg;
+}
+
+// Assembles the kParamReply for `req` from `master` (a CellStore, a
+// VersionedCellStore flat or paged, or a pinned Snapshot: anything with
+// `const f32* Get(i64) const`). Hits are copied in request-key order, the
+// order the reply store's insertion-ordered layout makes observable, so the
+// reply bytes depend only on the keys and the values the store holds.
+// `key_bound` is the array's key-space size, the reply store's key bound.
+template <typename Store>
+Message BuildParamReply(const ParamRequest& req, const Store& master, i32 value_dim,
+                        i64 key_bound, bool zero_copy) {
+  PartData pd;
+  pd.array = req.array;
+  pd.part = req.step;
+  pd.mode = PartDataMode::kInstallPart;
+  pd.cells = CellStore(value_dim, CellStore::Layout::kHashed, key_bound);
+  pd.cells.Reserve(static_cast<i64>(req.keys.size()));
+  for (i64 key : req.keys) {
+    const f32* v = master.Get(key);
+    if (v != nullptr) {
+      simd::CopyF32(pd.cells.GetOrCreate(key), v, static_cast<size_t>(value_dim));
+    }
+  }
+  Message reply;
+  reply.from = kMasterRank;
+  reply.kind = MsgKind::kParamReply;
+  reply.tag = static_cast<u32>(req.step);
+  if (req.per_key) {
+    MeterAsPerKeyReplies(&reply, req.keys.size(), value_dim);
+  }
+  AttachPart(&reply, std::move(pd), zero_copy);
+  return reply;
 }
 
 // kGather / kDropArray control message.

@@ -58,7 +58,6 @@ struct SupervisorConfig {
   double heartbeat_interval_seconds = 0.05;  // master ping cadence per worker
   double death_timeout_seconds = 2.0;        // silence before a worker is declared dead
   double retry_initial_seconds = 0.05;       // first retransmit backoff
-  int max_retries = 10;                      // per worker per pass
   // Extra silence tolerated for a worker that was just sent bulk state
   // (scatter parts, replica snapshots, rejoin streams) and has not spoken
   // since: installing a large transfer can exceed death_timeout_seconds, and
@@ -70,6 +69,9 @@ struct SupervisorConfig {
 // Growth of the retransmit backoff after each retry, on the master's
 // StartPass resends and the workers' barrier resends alike.
 inline constexpr double kRetryBackoffFactor = 2.0;
+// StartPass resends per worker per pass before the master declares the
+// worker dead.
+inline constexpr int kMaxRetries = 10;
 
 // A DistArray Buffer definition: how updates routed through the buffer for
 // `target` are applied (pending updates for one key coalesce by addition).

@@ -3,7 +3,7 @@
 // placement strategies, and edge cases.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 
 #include "src/apps/sgd_mf.h"
 #include "src/runtime/driver.h"
@@ -18,8 +18,8 @@ TEST(DriverFeatures, CheckpointRestoreResumesTraining) {
   d.nnz = 6000;
   d.true_rank = 4;
   auto data = GenerateRatings(d);
-  const std::string wpath = ::testing::TempDir() + "/orion_ft_w.ckpt";
-  const std::string hpath = ::testing::TempDir() + "/orion_ft_h.ckpt";
+  const std::string dir = ::testing::TempDir() + "/orion_ft_mf_log";
+  std::filesystem::remove_all(dir);
 
   f64 loss_at_ckpt = 0.0;
   {
@@ -30,17 +30,18 @@ TEST(DriverFeatures, CheckpointRestoreResumesTraining) {
     mf.rank = 4;
     SgdMfApp app(&driver, mf);
     ASSERT_TRUE(app.Init(data, d.rows, d.cols).ok());
+    ASSERT_TRUE(driver.EnableDurability({app.w(), app.h()}, dir).ok());
     for (int p = 0; p < 4; ++p) {
       ASSERT_TRUE(app.RunPass().ok());
     }
+    // The loss pass is a pass too: it checkpoints the unchanged factors.
     loss_at_ckpt = *app.EvalLoss();
-    ASSERT_TRUE(driver.Checkpoint(app.w(), wpath).ok());
-    ASSERT_TRUE(driver.Checkpoint(app.h(), hpath).ok());
     // Driver destroyed here: the "machine" goes down.
   }
 
-  // A fresh driver restores the factors and continues; the restored loss
-  // must match the checkpointed one, and training must keep improving.
+  // A fresh driver resumes the factors from the log and continues; the
+  // restored loss must match the checkpointed one, and training must keep
+  // improving.
   DriverConfig cfg;
   cfg.num_workers = 3;
   Driver driver(cfg);
@@ -48,15 +49,16 @@ TEST(DriverFeatures, CheckpointRestoreResumesTraining) {
   mf.rank = 4;
   SgdMfApp app(&driver, mf);
   ASSERT_TRUE(app.Init(data, d.rows, d.cols).ok());
-  ASSERT_TRUE(driver.Restore(app.w(), wpath).ok());
-  ASSERT_TRUE(driver.Restore(app.h(), hpath).ok());
+  ASSERT_TRUE(driver.EnableDurability({app.w(), app.h()}, dir).ok());
+  auto resumed = driver.ResumeFromLog();
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(*resumed, 5);  // four training passes plus the loss pass
   EXPECT_NEAR(*app.EvalLoss(), loss_at_ckpt, 1e-6 * loss_at_ckpt + 1e-6);
   for (int p = 0; p < 4; ++p) {
     ASSERT_TRUE(app.RunPass().ok());
   }
   EXPECT_LT(*app.EvalLoss(), loss_at_ckpt);
-  std::remove(wpath.c_str());
-  std::remove(hpath.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DriverFeatures, AutomaticRepartitionBetweenIncompatibleLoops) {

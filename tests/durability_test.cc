@@ -1,6 +1,6 @@
-// Log-structured durability: delta-log round trips, torn-write crash sweeps,
-// point-in-time restore, master restart, and worker rejoin (ROADMAP
-// "log-structured durability").
+// Log-structured durability: delta-log round trips, base-image corruption,
+// torn-write crash sweeps, point-in-time restore, master restart, and worker
+// rejoin.
 //
 // The E2E workload is the arrival-invariant 1D server workload from
 // versioned_store_test: reads hit a read-only server table, writes are
@@ -310,6 +310,183 @@ TEST(DeltaLog, TornTailSweepRestoresValidPrefix) {
   EXPECT_FALSE(broken.ok());
 }
 
+// ---- Checkpoint: the base image of the delta log ----
+// The delta log is the one on-disk checkpoint format. Its base image
+// round-trips every CellStore layout, flat or paged, and a missing,
+// truncated or corrupted base is a descriptive error Status, never a crash.
+
+CellStore MakeSparseCells() {
+  CellStore s(3, CellStore::Layout::kHashed, 0);
+  for (i64 key : {5, 17, 99, 1024, 1 << 20}) {
+    f32* v = s.GetOrCreate(key);
+    for (i32 d = 0; d < 3; ++d) {
+      v[d] = static_cast<f32>(key) * 0.25f + static_cast<f32>(d);
+    }
+  }
+  return s;
+}
+
+CellStore MakeDenseCells() {
+  CellStore s(2, CellStore::Layout::kFullDense, 40);
+  for (i64 key = 0; key < 40; ++key) {
+    f32* v = s.GetOrCreate(key);
+    v[0] = static_cast<f32>(key);
+    v[1] = -static_cast<f32>(key);
+  }
+  return s;
+}
+
+// Writes `store` as array "t" of the base image of a fresh log in `dir`.
+void WriteBaseImage(const std::string& dir, VersionedCellStore* store) {
+  auto writer = DeltaLogWriter::Open(dir, {/*compact_every=*/0});
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  auto stats = (*writer)->AppendCheckpoint(MasterRecord{}, {{"t", store}});
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  ASSERT_TRUE(stats->wrote_base);
+}
+
+StatusOr<CellStore> ReadBaseImage(const std::string& dir) {
+  auto reader = DeltaLogReader::Open(dir);
+  if (!reader.ok()) {
+    return reader.status();
+  }
+  auto state = reader->Latest();
+  if (!state.ok()) {
+    return state.status();
+  }
+  return std::move(state->arrays.at("t"));
+}
+
+void ExpectRoundTrip(const std::string& tag, CellStore cells) {
+  const std::string dir = LogDir(tag);
+  const CellMap want = CellsSnapshot(cells);
+  const CellStore::Layout layout = cells.layout();
+  VersionedCellStore store(std::move(cells));
+  WriteBaseImage(dir, &store);
+  auto restored = ReadBaseImage(dir);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->layout(), layout);
+  EXPECT_TRUE(BitIdentical(want, CellsSnapshot(*restored)));
+}
+
+// Writes a valid base image of `cells` to `dir` and returns its raw bytes.
+std::vector<u8> BaseBytes(const std::string& dir, CellStore cells) {
+  VersionedCellStore store(std::move(cells));
+  WriteBaseImage(dir, &store);
+  auto bytes = ReadFileBytes(dir + "/base.orib");
+  EXPECT_TRUE(bytes.ok()) << bytes.status();
+  return bytes.ok() ? *bytes : std::vector<u8>{};
+}
+
+// Replaces the base image in `dir` with `bytes` and expects the log to be
+// refused as corrupt.
+void ExpectCorruptBase(const std::string& dir, const std::vector<u8>& bytes) {
+  WriteFileRaw(dir + "/base.orib", bytes, bytes.size());
+  auto restored = ReadBaseImage(dir);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().message().find("corrupt"), std::string::npos)
+      << restored.status();
+}
+
+TEST(Checkpoint, SparseRoundTrip) { ExpectRoundTrip("ckpt_sparse", MakeSparseCells()); }
+
+TEST(Checkpoint, DenseRoundTrip) { ExpectRoundTrip("ckpt_dense", MakeDenseCells()); }
+
+TEST(Checkpoint, DenseRangeRoundTrip) {
+  CellStore cells = CellStore::DenseRange(2, 10, 29);
+  for (i64 key = 10; key <= 29; ++key) {
+    cells.GetOrCreate(key)[0] = static_cast<f32>(key) * 1.5f;
+  }
+  ExpectRoundTrip("ckpt_dense_range", std::move(cells));
+}
+
+// A paged master writes its base image in place, without collapsing, and
+// the bytes equal those of the same cells written flat.
+TEST(Checkpoint, Roundtrip) {
+  CellStore cells(3, CellStore::Layout::kHashed, 0);
+  for (i64 k = 0; k < 300; ++k) {
+    cells.GetOrCreate(k * 13)[1] = static_cast<f32>(k);
+  }
+  const std::string flat_dir = LogDir("ckpt_flat");
+  const std::string paged_dir = LogDir("ckpt_paged");
+  VersionedCellStore flat(cells);
+  VersionedCellStore paged(std::move(cells));
+  paged.BeginServing();
+  WriteBaseImage(flat_dir, &flat);
+  WriteBaseImage(paged_dir, &paged);
+  EXPECT_TRUE(paged.paged());
+  EXPECT_TRUE(paged.delta_tracking_valid());
+  auto flat_bytes = ReadFileBytes(flat_dir + "/base.orib");
+  auto paged_bytes = ReadFileBytes(paged_dir + "/base.orib");
+  ASSERT_TRUE(flat_bytes.ok() && paged_bytes.ok());
+  EXPECT_EQ(*flat_bytes, *paged_bytes);
+  auto back = ReadBaseImage(paged_dir);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->NumCells(), 300);
+  EXPECT_EQ(back->Get(13 * 7)[1], 7.0f);
+}
+
+TEST(Checkpoint, MissingFileIsIoError) {
+  // A regular file where the log directory should go: the writer cannot
+  // create the directory, and says where.
+  const std::string blocker = LogDir("ckpt_blocker") + "/not_a_dir";
+  WriteFileRaw(blocker, {}, 0);
+  auto writer = DeltaLogWriter::Open(blocker + "/log", {});
+  ASSERT_FALSE(writer.ok());
+  EXPECT_EQ(writer.status().code(), StatusCode::kIoError);
+  EXPECT_NE(writer.status().message().find("not_a_dir"), std::string::npos);
+}
+
+TEST(Checkpoint, MissingFileFails) {
+  auto reader = DeltaLogReader::Open("/nonexistent/orion_log");
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(reader.status().message().find("no base image"), std::string::npos);
+}
+
+TEST(Checkpoint, GarbageHeaderIsRejected) {
+  const std::string dir = LogDir("ckpt_garbage");
+  ExpectCorruptBase(dir, std::vector<u8>(64, 'x'));
+}
+
+TEST(Checkpoint, CorruptMagicRejected) {
+  const std::string dir = LogDir("ckpt_magic");
+  std::vector<u8> bytes = BaseBytes(dir, MakeSparseCells());
+  ASSERT_GT(bytes.size(), 8u);
+  bytes[0] ^= 0xff;  // frame layout: magic u32, version u32, ...
+  ExpectCorruptBase(dir, bytes);
+}
+
+TEST(Checkpoint, EmptyFileIsRejected) {
+  const std::string dir = LogDir("ckpt_empty");
+  ExpectCorruptBase(dir, {});  // too short for even a frame header
+}
+
+TEST(Checkpoint, TruncatedFileIsRejected) {
+  const std::string dir = LogDir("ckpt_truncated");
+  std::vector<u8> bytes = BaseBytes(dir, MakeSparseCells());
+  ASSERT_GT(bytes.size(), 40u);
+  bytes.resize(bytes.size() - 11);
+  ExpectCorruptBase(dir, bytes);
+}
+
+TEST(Checkpoint, FlippedPayloadByteFailsChecksum) {
+  const std::string dir = LogDir("ckpt_flipped");
+  std::vector<u8> bytes = BaseBytes(dir, MakeDenseCells());
+  ASSERT_GT(bytes.size(), 40u);
+  bytes[bytes.size() - 3] ^= 0x40;  // a bit deep in the payload
+  ExpectCorruptBase(dir, bytes);
+}
+
+TEST(Checkpoint, FutureVersionIsRejected) {
+  const std::string dir = LogDir("ckpt_version");
+  std::vector<u8> bytes = BaseBytes(dir, MakeSparseCells());
+  ASSERT_GT(bytes.size(), 8u);
+  bytes[4] = 127;  // the version field; the checksum does not cover it
+  ExpectCorruptBase(dir, bytes);
+}
+
 // ---- E2E: the arrival-invariant 1D server workload ----
 
 constexpr i64 kSamples = 96;
@@ -398,8 +575,6 @@ class Workload {
     DriverConfig cfg;
     cfg.num_workers = opt.workers;
     cfg.seed = opt.seed;
-    cfg.async_param_serving = true;
-    cfg.param_server_shards = 4;
     cfg.fault_plan = opt.fault_plan;
     if (cfg.fault_plan.Active()) {
       cfg.supervisor.enabled = true;

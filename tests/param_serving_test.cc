@@ -1,7 +1,8 @@
-// Sharded async parameter serving + depth-k prefetch ring: every
-// configuration (ring depth k, shard count S, fault injection, per-key vs
-// bulk request shape) must be *bit-for-bit* identical to fully synchronous
-// inline serving — same reply bytes, same apply order, same f64 folds.
+// Parameter serving + depth-k prefetch ring: every configuration (ring
+// depth k, fault injection, per-key vs bulk request shape) must be
+// *bit-for-bit* identical to a fully synchronous run (no overlap, depth 1) —
+// same reply bytes, same apply order, same f64 folds. BuildParamReply gives
+// the same reply bytes from every store form the master can be in.
 // Also covers the coalesced kPerKey metering identity: one wire message
 // carrying K keys must charge the fabric exactly like K single-key messages.
 #include <gtest/gtest.h>
@@ -9,7 +10,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <optional>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "src/common/rng.h"
 #include "src/net/fault_injector.h"
 #include "src/runtime/driver.h"
-#include "src/runtime/param_server.h"
 #include "src/runtime/protocol.h"
 
 namespace orion {
@@ -54,7 +54,7 @@ std::map<i64, std::vector<f32>> Snapshot(Driver* d, DistArrayId id) {
 
 // ---------------------------------------------------------------------------
 // Rotation schedule + server-hosted table (non-aligned i+j subscript): the
-// scenario where both the prefetch ring and the sharded server are hot.
+// scenario where both the prefetch ring and param serving are hot.
 
 struct RotationResult {
   std::map<i64, std::vector<f32>> out_r;
@@ -68,8 +68,6 @@ struct RotationResult {
 struct RotationOptions {
   bool overlap = true;
   int prefetch_depth = 2;
-  bool async_serving = true;
-  int shards = 4;
   PrefetchMode prefetch = PrefetchMode::kCached;
   FaultPlan fault_plan;
 };
@@ -86,8 +84,6 @@ RotationResult RunRotationServer(const RotationOptions& opt) {
   // the per-key metering comparison has something to compare, keeps tests fast.
   cfg.net.latency_us = 200.0;
   cfg.net.bandwidth_bps = 1e9;
-  cfg.async_param_serving = opt.async_serving;
-  cfg.param_server_shards = opt.shards;
   cfg.fault_plan = opt.fault_plan;
   if (cfg.fault_plan.Active()) {
     cfg.supervisor.enabled = true;
@@ -176,7 +172,6 @@ RotationResult RunRotationServer(const RotationOptions& opt) {
 TEST(ParamServing, RotationDepthSweepBitForBit) {
   RotationOptions sync;
   sync.overlap = false;
-  sync.async_serving = false;
   sync.prefetch_depth = 1;
   const RotationResult ref = RunRotationServer(sync);
 
@@ -190,8 +185,8 @@ TEST(ParamServing, RotationDepthSweepBitForBit) {
       // Warm kCached key lists let the ring actually fill past 1.
       EXPECT_GE(got.last.prefetch_ring_depth_used, 2) << "depth " << depth;
     }
-    // The sharded path ran and reported its work.
-    EXPECT_GT(got.last.param_shard_queue_depth_max, 0);
+    // The master served requests and reported its work.
+    EXPECT_GT(got.last.param_serve_seconds, 0.0);
     EXPECT_EQ(got.last.worker_reply_wait.size(), 4u);
     u64 awaits = 0;
     for (const WaitHistogram& h : got.last.worker_reply_wait) {
@@ -201,30 +196,13 @@ TEST(ParamServing, RotationDepthSweepBitForBit) {
   }
 }
 
-TEST(ParamServing, ShardCountDoesNotChangeResults) {
-  RotationOptions one;
-  one.shards = 1;
-  RotationOptions four;
-  four.shards = 4;
-  const RotationResult s1 = RunRotationServer(one);
-  const RotationResult s4 = RunRotationServer(four);
-  EXPECT_TRUE(SameResult(s1, s4));
-
-  RotationOptions sync;
-  sync.overlap = false;
-  sync.async_serving = false;
-  EXPECT_TRUE(SameResult(RunRotationServer(sync), s4));
-}
-
 TEST(ParamServing, ChaosWhileShardedServingActive) {
   RotationOptions clean;
   clean.overlap = false;
-  clean.async_serving = false;
   const RotationResult ref = RunRotationServer(clean);
 
   RotationOptions chaos;
   chaos.prefetch_depth = 2;
-  chaos.shards = 4;
   chaos.fault_plan.seed = 17;
   chaos.fault_plan.drop_prob = 0.05;
   chaos.fault_plan.dup_prob = 0.05;
@@ -233,8 +211,8 @@ TEST(ParamServing, ChaosWhileShardedServingActive) {
   EXPECT_TRUE(SameResult(ref, a));
   EXPECT_FALSE(a.fault_events.empty());
 
-  // Decision events are a pure function of the plan seed: async replies and
-  // shard threads must not perturb the injected sequence. Releases are
+  // Decision events are a pure function of the plan seed: replies leaving
+  // on the master's lane threads must not perturb the injected sequence. Releases are
   // timing-dependent, so compare decisions only, canonically ordered.
   auto canonical = [](std::vector<FaultEvent> events) {
     events.erase(std::remove_if(events.begin(), events.end(),
@@ -282,11 +260,10 @@ void LdaDepthBitForBit(PrefetchMode prefetch) {
   c.seed = 23;
   auto corpus = GenerateCorpus(c);
 
-  auto run = [&](bool overlap, bool async_serving, int depth) {
+  auto run = [&](bool overlap, int depth) {
     DriverConfig cfg;
     cfg.num_workers = 4;
     cfg.seed = 3;
-    cfg.async_param_serving = async_serving;
     auto driver = std::make_unique<Driver>(cfg);
     LdaConfig l;
     l.num_topics = 5;
@@ -308,9 +285,9 @@ void LdaDepthBitForBit(PrefetchMode prefetch) {
                            Snapshot(driver.get(), app->topic_sum()), *ll);
   };
 
-  auto [dt_sync, wt_sync, ts_sync, ll_sync] = run(false, false, 1);
+  auto [dt_sync, wt_sync, ts_sync, ll_sync] = run(false, 1);
   for (int depth : {1, 4}) {
-    auto [dt, wt, ts, ll] = run(true, true, depth);
+    auto [dt, wt, ts, ll] = run(true, depth);
     EXPECT_TRUE(BitIdentical(dt_sync, dt)) << "depth " << depth;
     EXPECT_TRUE(BitIdentical(wt_sync, wt)) << "depth " << depth;
     EXPECT_TRUE(BitIdentical(ts_sync, ts)) << "depth " << depth;
@@ -419,8 +396,7 @@ TEST(PerKeyMetering, ParamRequestEncodedSizeMatchesEncode) {
   EXPECT_EQ(decoded.keys, perkey.keys);
 }
 
-// BuildParamReply assembles hits in request-key order; the sharded path must
-// reproduce those bytes exactly, so the shared helper is the ground truth.
+// BuildParamReply assembles hits in request-key order.
 TEST(PerKeyMetering, BuildParamReplyPreservesKeyOrder) {
   constexpr i32 kDim = 2;
   CellStore master(kDim, CellStore::Layout::kHashed, 0);
@@ -436,9 +412,9 @@ TEST(PerKeyMetering, BuildParamReplyPreservesKeyOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// ParamServer unit: the sharded snapshot path (hash-striped gathers, then
-// cursor-based assembly in request-key order) must produce exactly the reply
-// BuildParamReply — the inline path — builds from the same store.
+// BuildParamReply from every store form the master can be in: a flat
+// CellStore, a VersionedCellStore before and after pagination, and a pinned
+// snapshot of it. Each must give the same reply bytes, zero-copy or encoded.
 
 void ExpectSameReply(Message want, Message got, const std::string& what) {
   EXPECT_EQ(got.from, want.from) << what;
@@ -463,96 +439,119 @@ void ExpectSameReply(Message want, Message got, const std::string& what) {
   }
 }
 
-TEST(ParamServerUnit, SnapshotReplyMatchesBuildParamReply) {
-  constexpr i32 kDim = 3;
-  constexpr WorkerId kFrom = 1;
-  auto fill = [](CellStore* store, const std::vector<i64>& keys) {
-    for (i64 key : keys) {
-      f32* v = store->GetOrCreate(key);
-      for (i32 d = 0; d < kDim; ++d) {
-        v[d] = 0.5f * static_cast<f32>(key) + 0.25f * static_cast<f32>(d);
-      }
-    }
-  };
-  // Dense master over keys [100, 899]: several copy-on-write pages.
-  std::vector<i64> dense_keys;
-  for (i64 k = 100; k <= 899; ++k) {
-    dense_keys.push_back(k);
-  }
-  CellStore dense = CellStore::DenseRange(kDim, 100, 899);
-  fill(&dense, dense_keys);
-  // Hashed master with strided keys below 100003; keys at or above it miss.
-  std::vector<i64> hashed_keys;
-  for (i64 i = 0; i < 600; ++i) {
-    hashed_keys.push_back((i * 7919) % 100003);
-  }
-  CellStore hashed(kDim, CellStore::Layout::kHashed, 0);
-  fill(&hashed, hashed_keys);
+constexpr i32 kReplyDim = 3;
+// Dense master over keys [100, 899]: several pages once paginated.
+constexpr i64 kDenseLo = 100;
+constexpr i64 kDenseHi = 899;
+constexpr i64 kDenseBound = 900;
+// Hashed master with strided keys below kHashedBound; keys at or above it miss.
+constexpr i64 kHashedBound = 100003;
 
-  struct Case {
-    std::string name;
-    const CellStore* master;
-    std::vector<i64> keys;
-    bool per_key = false;
-  };
-  // Key-space sizes for bounded replies: every stored key lies below them.
-  constexpr i64 kDenseBound = 900;
-  constexpr i64 kHashedBound = 100003;
-  const std::vector<i64> dense_reversed(dense_keys.rbegin(), dense_keys.rend());
-  std::vector<i64> hashed_mixed;
-  for (size_t i = 0; i < hashed_keys.size(); i += 3) {
-    hashed_mixed.push_back(hashed_keys[i]);
-    hashed_mixed.push_back(100003 + static_cast<i64>(i));  // miss
-    if (i % 2 == 0) {
-      hashed_mixed.push_back(hashed_keys[i]);  // duplicate
-    }
+std::vector<i64> DenseKeys() {
+  std::vector<i64> keys;
+  for (i64 k = kDenseLo; k <= kDenseHi; ++k) {
+    keys.push_back(k);
   }
-  const std::vector<Case> cases = {
-      {"dense_duplicates", &dense, {450, 101, 450, 899, 100, 101, 450, 777}},
-      {"dense_all_reversed", &dense, dense_reversed},
-      {"dense_empty", &dense, {}},
-      {"hashed_duplicates_and_misses", &hashed, hashed_mixed},
-      {"hashed_per_key", &hashed, {hashed_keys[9], 100004, hashed_keys[9], hashed_keys[2]}, true},
-      {"hashed_all_misses", &hashed, {100003, 200000, 100003}},
-      {"hashed_empty", &hashed, {}},
-  };
-
-  int direct_replies = 0;
-  for (bool zero_copy : {false, true}) {
-    for (int shards : {1, 3, 4}) {
-      Fabric fabric(/*num_workers=*/2);
-      fabric.SetZeroCopy(zero_copy);
-      ParamServer server(&fabric, shards, /*num_workers=*/2);
-      for (bool bounded : {false, true}) {
-        for (const Case& c : cases) {
-          const i64 bound = !bounded ? 0 : c.master == &dense ? kDenseBound : kHashedBound;
-          const std::string what = c.name + " shards=" + std::to_string(shards) +
-                                   " zero_copy=" + std::to_string(zero_copy) +
-                                   " bound=" + std::to_string(bound);
-          VersionedCellStore store{CellStore(*c.master)};
-          store.BeginServing();
-          ParamRequest req{/*array=*/7, /*step=*/3, c.keys};
-          req.per_key = c.per_key;
-          Message want = BuildParamReply(req, *c.master, kDim, bound, zero_copy);
-          if (zero_copy && bounded) {
-            const auto* z = static_cast<const ZeroCopyPart*>(want.zc.get());
-            direct_replies += z->pd.cells.direct_indexed() ? 1 : 0;
-          }
-          server.HandleRequestSnapshot(req, kFrom, store.Pin(), kDim, bound);
-          server.Quiesce();
-          std::optional<Message> got = fabric.TryRecv(kFrom);
-          ASSERT_TRUE(got.has_value()) << what;
-          EXPECT_EQ(got->to, kFrom) << what;
-          ExpectSameReply(std::move(want), std::move(*got), what);
-          EXPECT_FALSE(fabric.TryRecv(kFrom).has_value()) << what;
-        }
-      }
-    }
-  }
-  // The 800-key dense reply fills a table whose bound (900) is within 2x of
-  // the hashed size, so bounded zero-copy replies do reach the direct index.
-  EXPECT_GT(direct_replies, 0);
+  return keys;
 }
+
+std::vector<i64> HashedKeys() {
+  std::vector<i64> keys;
+  for (i64 i = 0; i < 600; ++i) {
+    keys.push_back((i * 7919) % kHashedBound);
+  }
+  return keys;
+}
+
+CellStore MakeReplyMaster(bool dense) {
+  CellStore store = dense ? CellStore::DenseRange(kReplyDim, kDenseLo, kDenseHi)
+                          : CellStore(kReplyDim, CellStore::Layout::kHashed, 0);
+  for (i64 key : dense ? DenseKeys() : HashedKeys()) {
+    f32* v = store.GetOrCreate(key);
+    for (i32 d = 0; d < kReplyDim; ++d) {
+      v[d] = 0.5f * static_cast<f32>(key) + 0.25f * static_cast<f32>(d);
+    }
+  }
+  return store;
+}
+
+struct ReplyCase {
+  std::string name;
+  bool dense = false;
+  std::vector<i64> keys;
+  bool per_key = false;
+  bool bounded = false;  // reply store bounded by the array's key space
+};
+
+std::vector<ReplyCase> ReplyCases() {
+  const std::vector<i64> dense = DenseKeys();
+  const std::vector<i64> hashed = HashedKeys();
+  std::vector<i64> hashed_mixed;
+  for (size_t i = 0; i < hashed.size(); i += 3) {
+    hashed_mixed.push_back(hashed[i]);
+    hashed_mixed.push_back(kHashedBound + static_cast<i64>(i));  // miss
+    if (i % 2 == 0) {
+      hashed_mixed.push_back(hashed[i]);  // duplicate
+    }
+  }
+  const std::vector<ReplyCase> base = {
+      {"dense_duplicates", true, {450, 101, 450, 899, 100, 101, 450, 777}},
+      {"dense_all_reversed", true, std::vector<i64>(dense.rbegin(), dense.rend())},
+      {"dense_empty", true, {}},
+      {"dense_per_key", true, {777, 101, 777}, true},
+      {"hashed_duplicates_and_misses", false, hashed_mixed},
+      {"hashed_per_key", false, {hashed[9], kHashedBound + 1, hashed[9], hashed[2]}, true},
+      {"hashed_all_misses", false, {kHashedBound, 200000, kHashedBound}},
+      {"hashed_empty", false, {}},
+  };
+  std::vector<ReplyCase> out;
+  for (bool bounded : {false, true}) {
+    for (ReplyCase c : base) {
+      c.bounded = bounded;
+      c.name += bounded ? "_bounded" : "_unbounded";
+      out.push_back(std::move(c));
+    }
+  }
+  return out;
+}
+
+// Names the case in test listings (the default printer dumps raw bytes,
+// pointers included).
+void PrintTo(const ReplyCase& c, std::ostream* os) { *os << c.name; }
+
+class BuildParamReplyTest : public ::testing::TestWithParam<ReplyCase> {};
+
+TEST_P(BuildParamReplyTest, SameBytesFromFlatPagedAndPinnedStores) {
+  const ReplyCase& c = GetParam();
+  const CellStore flat = MakeReplyMaster(c.dense);
+  const i64 bound = !c.bounded ? 0 : c.dense ? kDenseBound : kHashedBound;
+  const VersionedCellStore unpaged{CellStore(flat)};
+  VersionedCellStore paged{CellStore(flat)};
+  paged.BeginServing();
+  ASSERT_GT(paged.num_pages(), 1);
+  const VersionedCellStore::Snapshot pinned = paged.Pin();
+
+  ParamRequest req{/*array=*/7, /*step=*/3, c.keys};
+  req.per_key = c.per_key;
+  for (bool zero_copy : {false, true}) {
+    const std::string how = zero_copy ? " zero_copy" : " encoded";
+    Message want = BuildParamReply(req, flat, kReplyDim, bound, zero_copy);
+    if (zero_copy && c.name == "dense_all_reversed_bounded") {
+      // 800 keys under a bound of 900: the reply table indexes directly.
+      const auto* z = static_cast<const ZeroCopyPart*>(want.zc.get());
+      EXPECT_TRUE(z->pd.cells.direct_indexed());
+    }
+    ExpectSameReply(BuildParamReply(req, flat, kReplyDim, bound, zero_copy),
+                    BuildParamReply(req, unpaged, kReplyDim, bound, zero_copy),
+                    "unpaged" + how);
+    ExpectSameReply(BuildParamReply(req, flat, kReplyDim, bound, zero_copy),
+                    BuildParamReply(req, paged, kReplyDim, bound, zero_copy), "paged" + how);
+    ExpectSameReply(std::move(want), BuildParamReply(req, pinned, kReplyDim, bound, zero_copy),
+                    "pinned" + how);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(StoreForms, BuildParamReplyTest, ::testing::ValuesIn(ReplyCases()));
 
 }  // namespace
 }  // namespace orion

@@ -240,7 +240,6 @@ Wavefront MakeWavefront(FaultPlan fault_plan = {}) {
   DriverConfig cfg;
   cfg.num_workers = 4;
   cfg.seed = 21;
-  cfg.param_server_shards = 4;
   cfg.fault_plan = fault_plan;
   if (cfg.fault_plan.Active()) {
     cfg.supervisor.enabled = true;
@@ -339,16 +338,6 @@ struct Hammer {
   std::atomic<bool> stop_{false};
   std::atomic<u64> ok_{0}, not_serving_{0}, other_{0};
 };
-
-TEST(ServingTierDriver, RequiresVersionedAsyncServing) {
-  DriverConfig cfg;
-  cfg.num_workers = 2;
-  cfg.async_param_serving = false;
-  Driver driver(cfg);
-  auto a = driver.CreateDistArray("a", {8}, 1, Density::kDense);
-  auto tier = driver.StartServingTier({a});
-  EXPECT_FALSE(tier.ok());
-}
 
 TEST(ServingTierDriver, TrainingBitForBitWithServingOnOff) {
   Wavefront off = MakeWavefront();
@@ -502,7 +491,6 @@ ServerWorkload MakeServerWorkload(FaultPlan fault_plan = {}) {
   DriverConfig cfg;
   cfg.num_workers = 4;
   cfg.seed = 5;
-  cfg.param_server_shards = 4;
   cfg.fault_plan = fault_plan;
   if (cfg.fault_plan.Active()) {
     cfg.supervisor.enabled = true;

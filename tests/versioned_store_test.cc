@@ -1,7 +1,8 @@
-// Versioned copy-on-write parameter store: snapshot serving must be
-// bit-for-bit identical to synchronous inline serving in every configuration
-// (1D chunked rounds, wavefront overwrites, stripe counts, fault injection,
-// crash recovery).
+// Versioned copy-on-write parameter store: serving parameter requests from a
+// paged master — paginated for delta checkpoints, or pinned every pass by a
+// serving tier while writers clone the pages it shares — must be bit-for-bit
+// identical to serving from a flat one in every configuration (1D chunked
+// rounds, wavefront overwrites, fault injection, crash recovery).
 //
 // Unit layer: the publish -> pin -> clone-on-write -> retire lifecycle of
 // VersionedCellStore (no copy when unique, copy when pinned, hashed inserts
@@ -171,13 +172,13 @@ TEST(VersionedStore, AssignDropsPagesAndGoesFlat) {
 }
 
 // ---------------------------------------------------------------------------
-// Integration: 1D chunked loops served from snapshots.
+// Integration: 1D chunked loops served from flat and paged masters.
 //
 // The workload is arrival-invariant by construction — reads hit a read-only
 // server table and writes are additive integer-valued updates to a
 // write-only server array — so the final state is bitwise independent of
-// mid-pass apply interleaving and async serving can be compared bit-for-bit
-// against inline serving across worker timings.
+// mid-pass apply interleaving, and every master form can be compared
+// bit-for-bit against the flat one across worker timings.
 
 std::map<i64, std::vector<f32>> Snapshot(Driver* d, DistArrayId id) {
   std::map<i64, std::vector<f32>> out;
@@ -205,9 +206,16 @@ std::map<i64, std::vector<f32>> Snapshot(Driver* d, DistArrayId id) {
   return ::testing::AssertionSuccess();
 }
 
+// How the 1D workload's server-hosted masters are held.
+enum class MasterForm {
+  kFlat,     // a plain CellStore: the reference
+  kDurable,  // table_w paginated for delta checkpoints, no pins
+  kTiered,   // both tables paginated and pinned by a serving-tier publish
+             // every pass, so mid-pass flushes clone the pinned pages
+};
+
 struct OneDOptions {
-  bool async_serving = true;  // false: inline serving, the reference
-  int shards = 4;
+  MasterForm form = MasterForm::kFlat;
   int rounds = 2;
   int workers = 4;
   int passes = 3;
@@ -231,8 +239,6 @@ OneDResult RunOneD(const OneDOptions& opt) {
   DriverConfig cfg;
   cfg.num_workers = opt.workers;
   cfg.seed = 19;
-  cfg.async_param_serving = opt.async_serving;
-  cfg.param_server_shards = opt.shards;
   cfg.fault_plan = opt.fault_plan;
   if (cfg.fault_plan.Active()) {
     cfg.supervisor.enabled = true;
@@ -286,10 +292,13 @@ OneDResult RunOneD(const OneDOptions& opt) {
   EXPECT_EQ(driver.PlanOf(*loop).placements.at(table_r).scheme, PartitionScheme::kServer);
   EXPECT_EQ(driver.PlanOf(*loop).placements.at(table_w).scheme, PartitionScheme::kServer);
 
-  if (opt.recovery) {
+  if (opt.recovery || opt.form == MasterForm::kDurable) {
     Driver::DurabilityOptions durability;
     durability.every_n_passes = 2;
     EXPECT_TRUE(driver.EnableDurability({table_w}, opt.recovery_dir, durability).ok());
+  }
+  if (opt.form == MasterForm::kTiered) {
+    EXPECT_TRUE(driver.StartServingTier({table_r, table_w}).ok());
   }
   OneDResult res;
   for (int p = 0; p < opt.passes; ++p) {
@@ -302,30 +311,39 @@ OneDResult RunOneD(const OneDOptions& opt) {
   return res;
 }
 
-TEST(VersionedServing1D, AsyncMatchesInlineAcrossStripesAndRounds) {
-  OneDOptions inline_opt;
-  inline_opt.async_serving = false;
-  const OneDResult ref = RunOneD(inline_opt);
-  EXPECT_EQ(ref.last.versioned_snapshot_pins, 0u);
+std::string LogDirFor(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "/orion_versioned_" + tag;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
 
-  for (int shards : {1, 4}) {
-    for (int rounds : {1, 2, 4}) {
-      OneDOptions o;
-      o.shards = shards;
-      o.rounds = rounds;
+TEST(VersionedServing1D, PagedMatchesFlatAcrossRounds) {
+  for (int rounds : {1, 2, 4}) {
+    OneDOptions flat;
+    flat.rounds = rounds;
+    const OneDResult ref = RunOneD(flat);
+    EXPECT_EQ(ref.last.versioned_snapshot_pins, 0u);
+
+    OneDOptions durable = flat;
+    durable.form = MasterForm::kDurable;
+    durable.recovery_dir = LogDirFor("rounds" + std::to_string(rounds));
+    OneDOptions tiered = flat;
+    tiered.form = MasterForm::kTiered;
+    for (const OneDOptions& o : {durable, tiered}) {
+      const bool pinned = o.form == MasterForm::kTiered;
       const OneDResult got = RunOneD(o);
       EXPECT_TRUE(BitIdentical(ref.table_w, got.table_w))
-          << "shards=" << shards << " rounds=" << rounds;
-      EXPECT_EQ(ref.accum, got.accum) << "shards=" << shards << " rounds=" << rounds;
-      // Snapshot serving actually ran: pins were taken and every stripe
-      // count routed gather tasks.
-      EXPECT_GT(got.last.versioned_snapshot_pins, 0u);
-      ASSERT_EQ(got.last.stripes.size(), static_cast<size_t>(shards));
-      u64 tasks = 0;
-      for (const auto& s : got.last.stripes) {
-        tasks += s.tasks;
+          << "rounds=" << rounds << " pinned=" << pinned;
+      EXPECT_EQ(ref.accum, got.accum) << "rounds=" << rounds << " pinned=" << pinned;
+      if (pinned) {
+        // The tier's pins were live during the pass, so the flushes cloned
+        // the pages they wrote.
+        EXPECT_GT(got.last.versioned_snapshot_pins, 0u) << "rounds=" << rounds;
+        EXPECT_GT(got.last.versioned_pages_cloned, 0u) << "rounds=" << rounds;
+      } else {
+        EXPECT_EQ(got.last.versioned_pages_cloned, 0u) << "rounds=" << rounds;
+        EXPECT_GT(got.runtime.delta_checkpoints, 0u) << "rounds=" << rounds;
       }
-      EXPECT_GT(tasks, 0u);
     }
   }
 }
@@ -334,17 +352,16 @@ TEST(VersionedServing1D, ReadOwnWritesSingleWorker) {
   // One worker, multiple rounds, float (non-integer) math, reads and
   // buffered writes to the SAME server array: round r+1's request must
   // observe round r's flushes. With one worker the run is fully
-  // deterministic, so inline and snapshot serving must agree bitwise even
-  // though the values are order-sensitive floats.
+  // deterministic, so serving from a flat master and from a paged one that a
+  // serving tier pins must agree bitwise even though the values are
+  // order-sensitive floats.
   static constexpr i64 kSamples = 64;
   static constexpr i64 kKeys = 300;
 
-  auto run = [&](bool async_serving) {
+  auto run = [&](bool tiered) {
     DriverConfig cfg;
     cfg.num_workers = 1;
     cfg.seed = 5;
-    cfg.async_param_serving = async_serving;
-    cfg.param_server_shards = 4;
     Driver driver(cfg);
 
     auto samples = driver.CreateDistArray("samples", {kSamples}, 2, Density::kDense);
@@ -377,6 +394,9 @@ TEST(VersionedServing1D, ReadOwnWritesSingleWorker) {
     options.planner.replicate_threshold_floats = 0;
     auto loop = driver.Compile(spec, kernel, options);
     EXPECT_TRUE(loop.ok()) << loop.status();
+    if (tiered) {
+      EXPECT_TRUE(driver.StartServingTier({weights}).ok());
+    }
     for (int p = 0; p < 3; ++p) {
       EXPECT_TRUE(driver.Execute(*loop).ok());
     }
@@ -387,11 +407,12 @@ TEST(VersionedServing1D, ReadOwnWritesSingleWorker) {
 }
 
 // ---------------------------------------------------------------------------
-// Integration: wavefront/lockstep mid-pass overwrites racing pinned gathers.
+// Integration: wavefront/lockstep mid-pass overwrites of a pinned master.
 // The skewed recurrence C[i][j] = C[i-1][j] + C[i][j-1] + B[i][j] has a
 // unique solution, so every serving configuration must reproduce the serial
 // result exactly; server-hosted C is both prefetched per step (gathers) and
-// overwritten mid-step (kOverwrite flushes), the hottest COW path.
+// overwritten mid-step (kOverwrite flushes) while a serving-tier pin shares
+// its pages: the hottest COW path.
 
 constexpr i64 kRecN = 14;
 constexpr i64 kRecM = 11;
@@ -402,14 +423,12 @@ struct RecurrenceRun {
   u64 pages_cloned = 0;
 };
 
-RecurrenceRun RunRecurrence(bool async_serving, int shards) {
+RecurrenceRun RunRecurrence(bool tiered) {
   const i64 n = kRecN;
   const i64 m = kRecM;
 
   DriverConfig cfg;
   cfg.num_workers = 3;
-  cfg.async_param_serving = async_serving;
-  cfg.param_server_shards = shards;
   Driver driver(cfg);
   auto grid = driver.CreateDistArray("grid", {n, m}, 1, Density::kSparse);
   auto b = driver.CreateDistArray("B", {n, m}, 1, Density::kDense);
@@ -455,6 +474,9 @@ RecurrenceRun RunRecurrence(bool async_serving, int shards) {
 
   auto loop = driver.Compile(spec, kernel, {});
   EXPECT_TRUE(loop.ok()) << loop.status();
+  if (tiered) {
+    EXPECT_TRUE(driver.StartServingTier({c}).ok());
+  }
   EXPECT_TRUE(driver.Execute(*loop).ok());
 
   RecurrenceRun run;
@@ -476,26 +498,24 @@ RecurrenceRun RunRecurrence(bool async_serving, int shards) {
 }
 
 TEST(VersionedServing2D, WavefrontOverwritesVsConcurrentGathers) {
-  const RecurrenceRun inline_run = RunRecurrence(/*async_serving=*/false, 4);
-  EXPECT_EQ(inline_run.c, inline_run.serial);
-  EXPECT_EQ(inline_run.pages_cloned, 0u);
+  const RecurrenceRun flat = RunRecurrence(/*tiered=*/false);
+  EXPECT_EQ(flat.c, flat.serial);
+  EXPECT_EQ(flat.pages_cloned, 0u);
 
-  for (int shards : {1, 3, 4}) {
-    const RecurrenceRun snap = RunRecurrence(/*async_serving=*/true, shards);
-    EXPECT_EQ(snap.c, snap.serial) << "shards=" << shards;
-    EXPECT_EQ(snap.c, inline_run.c) << "shards=" << shards;
-  }
+  const RecurrenceRun tiered = RunRecurrence(/*tiered=*/true);
+  EXPECT_EQ(tiered.c, tiered.serial);
+  EXPECT_EQ(tiered.c, flat.c);
+  EXPECT_GT(tiered.pages_cloned, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Chaos: message faults and a mid-run crash with versioned serving active.
 
 TEST(VersionedServingChaos, MessageFaultsStayBitForBit) {
-  OneDOptions inline_opt;
-  inline_opt.async_serving = false;
-  const OneDResult ref = RunOneD(inline_opt);
+  const OneDResult ref = RunOneD(OneDOptions{});
 
   OneDOptions chaos;
+  chaos.form = MasterForm::kTiered;
   chaos.fault_plan.seed = 13;
   chaos.fault_plan.drop_prob = 0.05;
   chaos.fault_plan.dup_prob = 0.05;
