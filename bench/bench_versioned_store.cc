@@ -86,7 +86,7 @@ OneDResult Run1D(bool pinned) {
       v[d] = static_cast<f32>((key + d) % 13);
     }
   });
-  driver.RegisterBuffer(table_w, 4, MakeAddApplyFn());
+  driver.RegisterBuffer(table_w, 4);
   const int acc = driver.CreateAccumulator();
 
   LoopSpec spec;

@@ -119,11 +119,11 @@ int main() {
     const f32 sample[8] = {1.0f, 3.0f, 17.0f, 0.5f, 4.0f, 0.25f, 99.0f, 1.0f};
     std::map<DistArrayId, KeySpace> spaces;
     spaces.emplace(1, KeySpace({1000}));
-    std::map<DistArrayId, std::vector<i64>> keys;
+    std::map<DistArrayId, KeySet> keys;
     const i64 idx[1] = {0};
     program.Run(idx, sample, 8, spaces, &keys);
     std::printf("   sample [n=3, ids 17 4 99] -> recorded keys:");
-    for (i64 k : keys[1]) {
+    for (i64 k : keys[1].keys()) {
       std::printf(" %lld", static_cast<long long>(k));
     }
     std::printf("\n\n");

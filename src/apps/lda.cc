@@ -39,7 +39,7 @@ Status LdaApp::Init(const std::vector<TokenEntry>& tokens, i64 num_docs, i64 voc
   doc_topic_ = driver_->CreateDistArray("doc_topic", {num_docs}, k, Density::kDense);
   word_topic_ = driver_->CreateDistArray("word_topic", {vocab}, k, Density::kDense);
   topic_sum_ = driver_->CreateDistArray("topic_sum", {1}, k, Density::kDense);
-  driver_->RegisterBuffer(topic_sum_, k, MakeAddApplyFn());
+  driver_->RegisterBuffer(topic_sum_, k);
 
   // Initialize assignments uniformly at random and the count matrices
   // consistently.

@@ -63,7 +63,7 @@ Status SlrApp::Init(const std::vector<SparseSample>& samples, i64 num_features) 
       cell[2] += g;
     });
   } else {
-    driver_->RegisterBuffer(weights_, 1, MakeAddApplyFn());
+    driver_->RegisterBuffer(weights_, 1);
   }
 
   loss_acc_ = driver_->CreateAccumulator();
@@ -84,19 +84,21 @@ Status SlrApp::Init(const std::vector<SparseSample>& samples, i64 num_features) 
     const int n = static_cast<int>(value[1]);
     // First sweep: margin (this is also what the synthesized prefetch pass
     // replays to record the weight subscripts).
-    thread_local std::vector<f64> wcache;
     thread_local std::vector<f64> gseen;
-    wcache.assign(static_cast<size_t>(n), 0.0);
-    gseen.assign(static_cast<size_t>(n), 0.0);
+    if (adarev) {
+      gseen.assign(static_cast<size_t>(n), 0.0);
+    }
     f64 margin = 0.0;
     for (int f = 0; f < n; ++f) {
       const i64 id[1] = {static_cast<i64>(value[2 + 2 * f])};
       const f32* w = ctx.Read(weights, id);
-      wcache[static_cast<size_t>(f)] = w[0];
       if (adarev) {
         gseen[static_cast<size_t>(f)] = w[2];
       }
       margin += static_cast<f64>(w[0]) * static_cast<f64>(value[3 + 2 * f]);
+    }
+    if (ctx.recording()) {
+      return;  // the replay needs only the subscripts the sweep recorded
     }
     const f64 p = Sigmoid(margin);
     ctx.AccumulatorAdd(acc, LogLoss(p, label));

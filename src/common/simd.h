@@ -15,6 +15,7 @@
 #ifndef ORION_SRC_COMMON_SIMD_H_
 #define ORION_SRC_COMMON_SIMD_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 
@@ -58,11 +59,18 @@ extern std::atomic<KernelFn> g_add;
 
 // Spans of at most this many lanes (one cell of a scalar or short-vector
 // array) run an inline scalar loop: an indirect call costs more than the
-// lanes. Longer spans call the active level's kernel directly.
+// lanes. Longer spans call the active level's kernel directly. A one-lane
+// span (a scalar cell) is a single move or add: the compiler turns a
+// runtime-length copy or fill loop into a memcpy/memset call, which costs
+// several times the lane.
 inline constexpr size_t kInlineLanes = 4;
 
 // dst[i] = src[i] for i in [0, n). Spans must not overlap.
 inline void CopyF32(f32* dst, const f32* src, size_t n) {
+  if (n == 1) {
+    *dst = *src;
+    return;
+  }
   if (n > kInlineLanes) {
     internal::g_copy.load(std::memory_order_relaxed)(dst, src, n);
     return;
@@ -74,6 +82,10 @@ inline void CopyF32(f32* dst, const f32* src, size_t n) {
 
 // dst[i] += src[i] for i in [0, n). One IEEE add per lane at every level.
 inline void AddF32(f32* dst, const f32* src, size_t n) {
+  if (n == 1) {
+    *dst += *src;
+    return;
+  }
   if (n > kInlineLanes) {
     internal::g_add.load(std::memory_order_relaxed)(dst, src, n);
     return;
@@ -81,6 +93,15 @@ inline void AddF32(f32* dst, const f32* src, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     dst[i] += src[i];
   }
+}
+
+// dst[i] = 0 for i in [0, n).
+inline void ZeroF32(f32* dst, size_t n) {
+  if (n == 1) {
+    *dst = 0.0f;
+    return;
+  }
+  std::fill_n(dst, n, 0.0f);
 }
 
 }  // namespace simd

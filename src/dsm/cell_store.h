@@ -129,6 +129,20 @@ class CellStore {
     return GetOrCreateSlow(key);
   }
 
+  // Mutable span of the `*count` consecutive keys from `key`, created as
+  // needed. Dense layouts hold the whole run contiguously; a hashed store
+  // shortens `*count` to 1 (its cells are in insertion order).
+  f32* GetRun(i64 key, i64* count) {
+    if (IsDense()) {
+      if (key < range_lo_ || key + *count - 1 > range_hi_) {
+        DenseKeyOutOfRange(key < range_lo_ ? key : key + *count - 1);
+      }
+      return values_.data() + static_cast<size_t>(key - range_lo_) * value_dim_;
+    }
+    *count = 1;
+    return GetOrCreate(key);
+  }
+
   bool Contains(i64 key) const {
     if (IsDense()) {
       return key >= range_lo_ && key <= range_hi_;

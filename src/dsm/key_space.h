@@ -57,6 +57,9 @@ class KeySpace {
   // Hot-path encode without bounds validation (storage layers re-check
   // ownership anyway).
   i64 EncodeUnchecked(std::span<const i64> idx) const {
+    if (idx.size() == 1) {
+      return idx[0];  // 1-D: the stride is 1
+    }
     i64 key = 0;
     for (size_t d = 0; d < dims_.size(); ++d) {
       key += idx[d] * strides_[d];

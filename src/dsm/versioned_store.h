@@ -364,6 +364,26 @@ class VersionedCellStore {
     return WritableSlot(slot);
   }
 
+  // CellStore::GetRun: a writable span of up to `*count` consecutive keys
+  // from `key`. Paged dense stores shorten the run at the page's end (and
+  // clone that page once when a snapshot shares it); hashed stores to 1.
+  f32* GetRun(i64 key, i64* count) {
+    if (!paged_) {
+      return flat_.GetRun(key, count);
+    }
+    if (layout_ == CellStore::Layout::kHashed) {
+      *count = 1;
+      return GetOrCreate(key);
+    }
+    ORION_CHECK(key >= lo_ && key + *count - 1 <= hi_)
+        << "run [" << key << "," << key + *count - 1 << "] outside dense range [" << lo_ << ","
+        << hi_ << "]";
+    const i64 slot = key - lo_;
+    *count = std::min(*count, page_cells_ - slot % page_cells_);
+    tune_cell_writes_ += static_cast<u64>(*count - 1);  // WritableSlot counts one
+    return WritableSlot(slot);
+  }
+
   void Reserve(i64 additional_cells) {
     if (!paged_) {
       flat_.Reserve(additional_cells);

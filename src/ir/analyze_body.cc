@@ -522,7 +522,7 @@ struct Interp {
 
   void Run(const std::vector<Node>& block,
            const std::map<DistArrayId, KeySpace>& key_spaces,
-           std::map<DistArrayId, std::vector<i64>>* out) {
+           std::map<DistArrayId, KeySet>* out) {
     for (const auto& n : block) {
       switch (n.kind) {
         case Node::Kind::kAssign:
@@ -536,7 +536,7 @@ struct Interp {
           for (const auto& sub : n.subscripts) {
             coords.push_back(static_cast<i64>(Eval(sub)));
           }
-          (*out)[n.array].push_back(ks->second.Encode(coords));
+          (*out)[n.array].Insert(ks->second.Encode(coords));
           break;
         }
         case Node::Kind::kFor: {
@@ -561,7 +561,7 @@ struct Interp {
 
 void PrefetchProgram::Run(IdxSpan idx, const f32* value, i32 value_dim,
                           const std::map<DistArrayId, KeySpace>& key_spaces,
-                          std::map<DistArrayId, std::vector<i64>>* out) const {
+                          std::map<DistArrayId, KeySet>* out) const {
   Interp interp{idx, value, value_dim, std::vector<f64>(static_cast<size_t>(num_vars_), 0.0)};
   interp.Run(nodes_, key_spaces, out);
 }

@@ -11,7 +11,7 @@
 //     enclosing loop/conditional structure), drops reads whose subscripts
 //     themselves depend on DistArray values (those are not prefetchable),
 //     and packages the slice as an interpretable PrefetchProgram that emits
-//     per-array key lists for one iteration. The construction mirrors dead
+//     per-array key sets for one iteration. The construction mirrors dead
 //     code elimination run in reverse, exactly as the paper describes.
 //
 // Programs are assumed structured with definitions textually preceding
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/dsm/key_set.h"
 #include "src/dsm/key_space.h"
 #include "src/ir/loop_context.h"
 #include "src/ir/loop_spec.h"
@@ -67,11 +68,13 @@ class PrefetchProgram {
 
   const std::vector<Node>& nodes() const { return nodes_; }
 
-  // Runs the sliced program for one iteration, appending each target read's
-  // flat key (computed against the arrays' key spaces) into `out`.
+  // Runs the sliced program for one iteration, inserting each target read's
+  // flat key (computed against the arrays' key spaces) into that array's
+  // key set in `out` (a bitmap sets a bit; an array without an entry gets a
+  // key list).
   void Run(IdxSpan idx, const f32* value, i32 value_dim,
            const std::map<DistArrayId, KeySpace>& key_spaces,
-           std::map<DistArrayId, std::vector<i64>>* out) const;
+           std::map<DistArrayId, KeySet>* out) const;
 
  private:
   friend PrefetchProgram SynthesizePrefetch(const LoopBody& body);

@@ -695,6 +695,14 @@ void Driver::ServeParamRequest(const ParamRequest& req, WorkerId from) {
                                   fabric_->zero_copy());
   reply.to = from;
   last_metrics_.param_serve_seconds += sw.ElapsedSeconds();
+  if (!config_.net.charge_real_time) {
+    // Unmodeled link: sending costs no wall time, so the service loop sends
+    // inline and the lanes stay idle.
+    fabric_->Send(std::move(reply));
+    return;
+  }
+  // Modeled link: Fabric::Meter sleeps in the sending thread, so the reply
+  // goes out on its destination's lane.
   reply_lanes_.Enqueue(std::move(reply));
   last_metrics_.param_shard_queue_depth_max = std::max(
       last_metrics_.param_shard_queue_depth_max, static_cast<int>(reply_lanes_.QueueDepth()));
@@ -743,10 +751,17 @@ void Driver::ApplyParamUpdate(const CompiledLoop* cl, PartData pd, u32 tag) {
                       static_cast<size_t>(h.meta.value_dim));
       });
       break;
-    case PartDataMode::kApplyBufferUdf: {
+    case PartDataMode::kApplyBufferUdf:
+    case PartDataMode::kPackedApply: {
       auto def = dir_.GetBufferDef(pd.array);
       ORION_CHECK(def != nullptr) << "buffered update for array without buffer def";
-      DistArrayBuffer::ApplyTo(&h.master, pd.cells, def->apply);
+      if (pd.mode == PartDataMode::kApplyBufferUdf) {
+        DistArrayBuffer::ApplyTo(&h.master, pd.cells, def->apply);
+        break;
+      }
+      ORION_CHECK(pd.keys.total() == h.meta.key_space.total() && pd.dim == def->update_dim)
+          << "packed flush does not match array" << pd.array << "'s key space or buffer";
+      DistArrayBuffer::ApplyPacked(&h.master, pd.keys, pd.values, pd.dim, def->apply);
       break;
     }
     default:
@@ -972,7 +987,8 @@ Driver::PassOutcome Driver::ServicePassMessages(const CompiledLoop& cl, i32 pass
         }
         auto pit = cl.plan.placements.find(pd.array);
         const bool server_buffered =
-            cl.Is2D() && pd.mode == PartDataMode::kApplyBufferUdf &&
+            cl.Is2D() &&
+            (pd.mode == PartDataMode::kApplyBufferUdf || pd.mode == PartDataMode::kPackedApply) &&
             pit != cl.plan.placements.end() &&
             pit->second.scheme == PartitionScheme::kServer;
         if (server_buffered) {
@@ -1979,8 +1995,9 @@ class SerialLoopContext : public LoopContext {
     auto def = dir_->GetBufferDef(array);
     ORION_CHECK(def != nullptr) << "BufferUpdate without a registered buffer";
     CellStore* store = StoreFor(array);
-    def->apply(store->GetOrCreate(driver_->Meta(array).key_space.EncodeUnchecked(idx)),
-               update, store->value_dim());
+    ApplyBufferedUpdate(def->apply,
+                        store->GetOrCreate(driver_->Meta(array).key_space.EncodeUnchecked(idx)),
+                        update, store->value_dim());
   }
 
   void AccumulatorAdd(int slot, f64 delta) override {

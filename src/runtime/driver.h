@@ -114,8 +114,9 @@ class Driver {
 
   // Registers the DistArray Buffer for `target`; kernels may then call
   // LoopContext::BufferUpdate on it. Must be called before Compile of any
-  // loop whose kernel updates the buffer.
-  void RegisterBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply);
+  // loop whose kernel updates the buffer. Without `apply` the buffer is
+  // additive (cell += update, update_dim == the target's value_dim).
+  void RegisterBuffer(DistArrayId target, i32 update_dim, BufferApplyFn apply = {});
 
   // Creates an accumulator with the given reduction operator (paper
   // Sec. 3.4: worker-local instances combined with a commutative,

@@ -17,6 +17,16 @@ namespace {
 // (plus one so tag 0 stays "untagged").
 u32 PartTag(int tau) { return static_cast<u32>(tau + 1); }
 
+// Server-hosted arrays declared dense exchange parameters on the slab plane
+// (key bitmaps, packed values, a read slab and a delta slab); sparse ones on
+// key lists and CellStores.
+bool OnSlabPlane(const DistArrayMeta& meta) { return meta.density == Density::kDense; }
+
+// An empty key set of the array's parameter-plane form.
+KeySet EmptyKeySet(const DistArrayMeta& meta) {
+  return OnSlabPlane(meta) ? KeySet::Bitmap(meta.key_space.total()) : KeySet();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -64,7 +74,7 @@ class WorkerLoopContext : public LoopContext {
         const bool existed = r.st->server_dirty.Contains(key);
         f32* dirty = r.st->server_dirty.GetOrCreate(key);
         if (!existed) {
-          const f32* cur = r.st->prefetch_cache.Get(key);
+          const f32* cur = Prefetched(r, key);
           if (cur != nullptr) {
             simd::CopyF32(dirty, cur, static_cast<size_t>(r.st->meta.value_dim));
           }
@@ -82,13 +92,14 @@ class WorkerLoopContext : public LoopContext {
     Resolved& r = Resolve(array);
     const i64 key = r.st->meta.key_space.EncodeUnchecked(idx);
     if (r.buf == nullptr) {
-      r.buf = &ex_->GetBuffer(array);
+      r.buf = &ex_->GetBuffer(array, r.scheme);
     }
     r.buf->Accumulate(key, update);
     if (r.scheme == PartitionScheme::kReplicated) {
       // Apply to the local replica immediately so this worker sees its own
       // updates (the flush to the master happens at step end).
-      r.buf->apply_fn()(r.st->replica.GetOrCreate(key), update, r.st->meta.value_dim);
+      ApplyBufferedUpdate(r.buf->apply_fn(), r.st->replica.GetOrCreate(key), update,
+                          r.st->meta.value_dim);
     }
   }
 
@@ -101,14 +112,18 @@ class WorkerLoopContext : public LoopContext {
 
  protected:
   // Per-array lookups cached for the context's lifetime (a pass step):
-  // the buffer and the recorder's key list are found on first use, so the
+  // the buffer and the recorder's key set are found on first use, so the
   // per-access path does no map lookup.
   struct Resolved {
     PartitionScheme scheme = PartitionScheme::kUnpartitioned;
     Executor::ArrayState* st = nullptr;
     CellStore* store = nullptr;
+    // Slab plane (dense server-hosted arrays): the read slab and its key
+    // bound. The slab is sized once, so the pointer stays valid.
+    const f32* slab = nullptr;
+    i64 slab_keys = 0;
     DistArrayBuffer* buf = nullptr;
-    std::vector<i64>* recorded = nullptr;
+    KeySet* recorded = nullptr;
   };
 
   Resolved& Resolve(DistArrayId array) {
@@ -146,6 +161,10 @@ class WorkerLoopContext : public LoopContext {
           break;
         case PartitionScheme::kServer:
           r.store = &r.st->prefetch_cache;
+          if (OnSlabPlane(r.st->meta)) {
+            r.slab = ex_->Slab(*r.st);
+            r.slab_keys = r.st->meta.key_space.total();
+          }
           break;
         default:
           ORION_CHECK(false) << "bad placement";
@@ -167,7 +186,26 @@ class WorkerLoopContext : public LoopContext {
         return dirty;
       }
     }
+    return Prefetched(r, key);
+  }
+
+  // The fetched value of a server-hosted cell: the slab span (zeros for a
+  // key the step did not request), or the key-list cache entry (nullptr
+  // when absent).
+  static const f32* Prefetched(Resolved& r, i64 key) {
+    if (r.slab != nullptr) {
+      if (static_cast<u64>(key) >= static_cast<u64>(r.slab_keys)) {
+        OutsideKeySpace(r, key);
+      }
+      return r.slab + static_cast<size_t>(key) * static_cast<size_t>(r.st->meta.value_dim);
+    }
     return r.st->prefetch_cache.Get(key);
+  }
+
+  [[noreturn, gnu::noinline, gnu::cold]] static void OutsideKeySpace(const Resolved& r,
+                                                                      i64 key) {
+    ORION_CHECK(false) << "key" << key << "outside array" << r.st->meta.id << "'s key space";
+    std::abort();  // not reached: the failed check aborts
   }
 
   virtual const f32* ReadIterSpace(Resolved& r, i64 key) {
@@ -188,7 +226,7 @@ class WorkerLoopContext : public LoopContext {
 class RecordingLoopContext : public WorkerLoopContext {
  public:
   RecordingLoopContext(Executor* ex, const CompiledLoop* cl, int tau,
-                       std::map<DistArrayId, std::vector<i64>>* recorded)
+                       std::map<DistArrayId, KeySet>* recorded)
       : WorkerLoopContext(ex, cl, tau), recorded_(recorded) {}
 
   f32* Mutate(DistArrayId array, IdxSpan idx) override {
@@ -208,12 +246,12 @@ class RecordingLoopContext : public WorkerLoopContext {
     if (r.recorded == nullptr) {
       r.recorded = &(*recorded_)[r.st->meta.id];
     }
-    r.recorded->push_back(key);
+    r.recorded->Insert(key);
     return nullptr;  // caller substitutes the zero span
   }
 
  private:
-  std::map<DistArrayId, std::vector<i64>>* recorded_;
+  std::map<DistArrayId, KeySet>* recorded_;
 };
 
 // ---------------------------------------------------------------------------
@@ -243,17 +281,29 @@ Executor::ArrayState& Executor::GetArray(DistArrayId id) {
   return *it->second;
 }
 
-DistArrayBuffer& Executor::GetBuffer(DistArrayId target) {
+f32* Executor::Slab(ArrayState& st) {
+  if (st.slab.empty()) {
+    st.slab.assign(static_cast<size_t>(st.meta.key_space.total()) *
+                       static_cast<size_t>(st.meta.value_dim),
+                   0.0f);
+    st.slab_keys = KeySet::Bitmap(st.meta.key_space.total());
+  }
+  return st.slab.data();
+}
+
+DistArrayBuffer& Executor::GetBuffer(DistArrayId target, PartitionScheme scheme) {
+  const DistArrayMeta& meta = GetArray(target).meta;
+  const bool slab = scheme == PartitionScheme::kServer && OnSlabPlane(meta);
   auto it = buffers_.find(target);
-  if (it == buffers_.end()) {
+  // Buffers drain at every pass end, so an empty buffer of the other form
+  // (a loop that places the target differently) is simply rebuilt.
+  if (it == buffers_.end() || (it->second->slab() != slab && it->second->NumPending() == 0)) {
     auto def = dir_->GetBufferDef(target);
     ORION_CHECK(def != nullptr) << "BufferUpdate on array" << target
                                 << "without a registered DistArray Buffer";
-    it = buffers_
-             .emplace(target, std::make_unique<DistArrayBuffer>(
-                                  target, def->update_dim, def->apply,
-                                  GetArray(target).meta.key_space.total()))
-             .first;
+    auto buf = std::make_unique<DistArrayBuffer>(target, def->update_dim, def->apply,
+                                                 meta.key_space.total(), slab);
+    it = buffers_.insert_or_assign(target, std::move(buf)).first;
   }
   return *it->second;
 }
@@ -432,13 +482,13 @@ void Executor::InstallPartData(PartData pd, MsgKind kind) {
       if (slot.step != pd.part) {
         continue;
       }
-      auto it = slot.buffers.find(pd.array);
-      if (it != slot.buffers.end()) {
-        // One request per array per slot, so the landing store is empty:
-        // take the reply's cells (and their index) as they are.
-        ORION_CHECK(it->second.NumCells() == 0)
+      auto it = slot.landings.find(pd.array);
+      if (it != slot.landings.end()) {
+        // One request per array per slot: take the reply as it is.
+        ORION_CHECK(!it->second.replied)
             << "second kParamReply for array" << pd.array << "at step" << slot.step;
-        it->second = std::move(pd.cells);
+        it->second.reply = std::move(pd);
+        it->second.replied = true;
       }
       --slot.outstanding;
       ORION_CHECK(slot.outstanding >= 0)
@@ -650,15 +700,14 @@ void Executor::ExecuteCells(const CompiledLoop& cl, int tau, int chunk, int num_
   compute_seconds_ += sw.ElapsedSeconds();
 }
 
-std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const CompiledLoop& cl,
-                                                                      int tau, int step,
-                                                                      int chunk,
-                                                                      int num_chunks) {
-  // Collect the key lists, either from the per-loop cache or by running the
+std::map<DistArrayId, KeySet> Executor::CollectPrefetchKeys(const CompiledLoop& cl, int tau,
+                                                            int step, int chunk,
+                                                            int num_chunks) {
+  // Collect the key sets, either from the per-loop cache or by running the
   // synthesized recording pass over this block's iterations. `step` uniquely
   // identifies the block within a pass (wavefront/rotation step, or sync
   // round for chunked 1D loops), so it keys the cache.
-  std::map<DistArrayId, std::vector<i64>> recorded;
+  std::map<DistArrayId, KeySet> recorded;
   bool have_cached = cl.options.prefetch == PrefetchMode::kCached;
   if (have_cached) {
     for (const auto& [array, placement] : cl.plan.placements) {
@@ -676,6 +725,11 @@ std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const Comp
   if (!have_cached) {
     ORION_TRACE_SPAN(kExecutor, "record_keys");
     recorded.clear();
+    for (const auto& [array, placement] : cl.plan.placements) {
+      if (placement.scheme == PartitionScheme::kServer) {
+        recorded.emplace(array, EmptyKeySet(GetArray(array).meta));
+      }
+    }
     CpuStopwatch record_sw;
     ArrayState& iter = GetArray(cl.spec.iter_space);
     auto it = iter.parts.find(tau);
@@ -705,7 +759,7 @@ std::map<DistArrayId, std::vector<i64>> Executor::CollectPrefetchKeys(const Comp
       }
     }
     for (auto& [array, keys] : recorded) {
-      SortUniqueKeys(keys, GetArray(array).meta.key_space.total());
+      keys.Normalize(GetArray(array).meta.key_space.total());
       if (cl.options.prefetch == PrefetchMode::kCached) {
         prefetch_key_cache_[{cl.loop_id, step, array}] = keys;
       }
@@ -755,52 +809,36 @@ void Executor::IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chun
     if (placement.scheme != PartitionScheme::kServer) {
       continue;
     }
-    const ArrayState& st = GetArray(array);
-    slot.buffers.emplace(array, CellStore(st.meta.value_dim, CellStore::Layout::kHashed,
-                                          st.meta.key_space.total()));
     auto it = recorded.find(array);
-    std::vector<i64> keys;
-    if (it != recorded.end()) {
-      keys = std::move(it->second);
+    KeySet keys =
+        it != recorded.end() ? std::move(it->second) : EmptyKeySet(GetArray(array).meta);
+    PrefetchSlot::Landing& landing = slot.landings[array];
+    // Naive remote random access (kPerKey) sends one coalesced wire message
+    // carrying the whole key set, metered in the fabric as |keys| individual
+    // requests (and its reply as |keys| individual replies); zero keys means
+    // zero messages. The other modes always send one request per array.
+    const bool per_key = cl.options.prefetch == PrefetchMode::kPerKey;
+    if (per_key && keys.empty()) {
+      landing.keys = std::move(keys);
+      continue;
     }
-    if (speculative) {
-      // Remember what was requested (sorted/unique from the collector) so
-      // the await can intersect it with the dirty ranges of intervening
-      // steps and repair only the overlap.
-      slot.keys[array] = keys;
+    // A bitmap's reply is values only, scattered on install by the bitmap;
+    // a speculative slot validates its keys against the dirty ranges of the
+    // steps in between and repairs only the overlap.
+    if (keys.is_bitmap() || speculative) {
+      landing.keys = keys;
     }
-    if (cl.options.prefetch == PrefetchMode::kPerKey) {
-      // Naive remote random access: one coalesced wire message carrying the
-      // whole key list, metered in the fabric as |keys| individual requests
-      // (and its reply as |keys| individual replies). The old code really did
-      // send one message per key; the coalesced form keeps that cost model
-      // while sparing the service loop the message storm. Zero keys means
-      // zero messages, exactly as before.
-      if (keys.empty()) {
-        continue;
-      }
-      ParamRequest req{array, step, std::move(keys)};
-      req.per_key = true;
-      req.speculative = speculative;
-      Message m;
-      m.from = rank_;
-      m.to = kMasterRank;
-      m.kind = MsgKind::kParamRequest;
-      MeterAsPerKeyRequests(&m, req);
-      AttachParamRequest(&m, std::move(req), fabric_->zero_copy());
-      SendData(std::move(m));
-      ++slot.expected;
-    } else {
-      ParamRequest req{array, step, std::move(keys)};
-      req.speculative = speculative;
-      Message m;
-      m.from = rank_;
-      m.to = kMasterRank;
-      m.kind = MsgKind::kParamRequest;
-      AttachParamRequest(&m, std::move(req), fabric_->zero_copy());
-      SendData(std::move(m));
-      ++slot.expected;
-    }
+    ParamRequest req{array, step, std::move(keys)};
+    req.per_key = per_key;
+    req.speculative = speculative;
+    Message m;
+    m.from = rank_;
+    m.to = kMasterRank;
+    m.kind = MsgKind::kParamRequest;
+    MeterAsPerKeyRequests(&m, req);
+    AttachParamRequest(&m, std::move(req), fabric_->zero_copy());
+    SendData(std::move(m));
+    ++slot.expected;
   }
   slot.outstanding = slot.expected;
   slot.issued_at.Reset();
@@ -855,31 +893,72 @@ void Executor::AwaitPrefetch(const CompiledLoop& cl, int step) {
     if (placement.scheme != PartitionScheme::kServer) {
       continue;
     }
-    ArrayState& st = GetArray(array);
-    auto it = slot.buffers.find(array);
-    if (it != slot.buffers.end()) {
-      st.prefetch_cache = std::move(it->second);
-    } else {
-      st.prefetch_cache.Clear();
-    }
+    auto it = slot.landings.find(array);
+    ORION_CHECK(it != slot.landings.end()) << "no prefetch landing for array" << array;
+    InstallFetched(GetArray(array), it->second, /*replace=*/true);
   }
   if (slot.speculative) {
-    RepairSpeculative(cl, slot);
+    RepairSpeculative(slot);
   }
 }
 
-void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slot) {
+void Executor::InstallFetched(ArrayState& st, PrefetchSlot::Landing& landing, bool replace) {
+  if (!OnSlabPlane(st.meta)) {
+    if (replace) {
+      if (landing.replied) {
+        st.prefetch_cache = std::move(landing.reply.cells);
+      } else {
+        st.prefetch_cache.Clear();
+      }
+      return;
+    }
+    const size_t dim = static_cast<size_t>(st.meta.value_dim);
+    landing.reply.cells.ForEachConst([&](i64 key, const f32* v) {
+      simd::CopyF32(st.prefetch_cache.GetOrCreate(key), v, dim);
+    });
+    return;
+  }
+  // Slab plane: the reply holds value_dim floats per requested bit, in key
+  // order. A full install first zeroes what the previous fetch left, so a
+  // key this fetch did not request reads zeros.
+  const size_t dim = static_cast<size_t>(st.meta.value_dim);
+  f32* slab = Slab(st);
+  if (replace) {
+    st.slab_keys.ForEach([&](i64 key) { simd::ZeroF32(slab + key * dim, dim); });
+    st.slab_keys.Clear();
+  }
+  if (!landing.replied) {
+    return;
+  }
+  const std::vector<f32>& values = landing.reply.values;
+  ORION_CHECK(landing.reply.mode == PartDataMode::kPackedReply &&
+              landing.reply.dim == st.meta.value_dim &&
+              static_cast<i64>(values.size()) == landing.keys.size() * st.meta.value_dim)
+      << "packed reply of" << values.size() << "floats for" << landing.keys.size()
+      << "requested keys of array" << st.meta.id;
+  const f32* in = values.data();
+  landing.keys.ForEach([&](i64 key) {
+    simd::CopyF32(slab + key * dim, in, dim);
+    in += dim;
+  });
+  if (replace) {
+    st.slab_keys = landing.keys;
+  }
+}
+
+void Executor::RepairSpeculative(const PrefetchSlot& slot) {
   // Conflict window: the speculative payload was served from master state
   // somewhere between "all writes of steps < issued_during applied" and "all
   // writes of step issued_during applied" (the request raced only that
   // step's flushes on the FIFO master link). Any key a step in
   // [issued_during, step) overwrote may therefore be stale in the cache.
-  std::map<DistArrayId, std::vector<i64>> conflicts;
-  for (const auto& [array, keys] : slot.keys) {
+  std::map<DistArrayId, KeySet> conflicts;
+  for (const auto& [array, landing] : slot.landings) {
+    const KeySet& keys = landing.keys;
     if (keys.empty()) {
       continue;
     }
-    std::vector<i64> bad;
+    KeySet bad = keys.EmptyLike();
     for (int t = slot.issued_during; t < slot.step; ++t) {
       auto it = step_dirty_.find(t);
       if (it == step_dirty_.end()) {
@@ -889,18 +968,14 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
         break;
       }
       auto ait = it->second.arrays.find(array);
-      if (ait == it->second.arrays.end()) {
-        continue;  // summary present and silent about this array: clean
-      }
-      std::vector<i64> hit = ait->second.ConflictKeys(keys);
-      bad.insert(bad.end(), hit.begin(), hit.end());
+      if (ait != it->second.arrays.end()) {
+        ait->second.CollectConflicts(keys, &bad);
+      }  // else: summary present and silent about this array: clean
     }
-    if (bad.empty()) {
-      continue;
+    bad.Normalize(GetArray(array).meta.key_space.total());
+    if (!bad.empty()) {
+      conflicts.emplace(array, std::move(bad));
     }
-    std::sort(bad.begin(), bad.end());
-    bad.erase(std::unique(bad.begin(), bad.end()), bad.end());
-    conflicts.emplace(array, std::move(bad));
   }
   if (conflicts.empty()) {
     return;  // validated clean: the speculation was a pure win
@@ -916,9 +991,7 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
   PrefetchSlot repair;
   repair.step = slot.step;
   for (auto& [array, keys] : conflicts) {
-    const ArrayState& st = GetArray(array);
-    repair.buffers.emplace(array, CellStore(st.meta.value_dim, CellStore::Layout::kHashed,
-                                            st.meta.key_space.total()));
+    repair.landings[array].keys = keys;
     ParamRequest req{array, slot.step, std::move(keys)};
     Message m;
     m.from = rank_;
@@ -938,13 +1011,9 @@ void Executor::RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slo
   PrefetchSlot done = std::move(prefetch_ring_.front());
   prefetch_ring_.pop_front();
   PublishRingFill();
-  for (auto& [array, cells] : done.buffers) {
-    spec_repair_bytes_ += cells.SerializedBytes();
-    ArrayState& st = GetArray(array);
-    const size_t dim = static_cast<size_t>(st.meta.value_dim);
-    cells.ForEachConst([&](i64 key, const f32* v) {
-      simd::CopyF32(st.prefetch_cache.GetOrCreate(key), v, dim);
-    });
+  for (auto& [array, landing] : done.landings) {
+    spec_repair_bytes_ += landing.reply.PayloadBytes();
+    InstallFetched(GetArray(array), landing, /*replace=*/false);
   }
   spec_wait_seconds_ += sw.ElapsedSeconds();
 }
@@ -1064,8 +1133,14 @@ void Executor::FlushServerBuffers(const CompiledLoop& cl) {
     PartData pd;
     pd.array = target;
     pd.part = -1;
-    pd.mode = PartDataMode::kApplyBufferUdf;
-    pd.cells = buf->Drain();
+    if (buf->slab()) {
+      pd.mode = PartDataMode::kPackedApply;
+      pd.dim = buf->update_dim();
+      buf->DrainPacked(&pd.keys, &pd.values);
+    } else {
+      pd.mode = PartDataMode::kApplyBufferUdf;
+      pd.cells = buf->Drain();
+    }
     Message m;
     m.from = rank_;
     m.to = kMasterRank;

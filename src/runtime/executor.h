@@ -67,7 +67,12 @@ class Executor {
     CellStore range_store;             // kRange cells owned by this worker
     std::map<int, CellStore> parts;    // rotated / iteration-space partitions
     CellStore replica;                 // kReplicated full copy
-    CellStore prefetch_cache;          // kServer prefetched reads
+    CellStore prefetch_cache;          // kServer key-list plane: fetched reads
+    // kServer slab plane (dense arrays): the read slab over the whole key
+    // space (allocated on first use; zeros where the last fetch requested
+    // nothing) and the keys that fetch filled in.
+    std::vector<f32> slab;
+    KeySet slab_keys;
     CellStore server_dirty;            // kServer unbuffered writes (overwrite)
     std::vector<f32> zeros;            // absent-cell read span
 
@@ -81,7 +86,11 @@ class Executor {
   };
 
   ArrayState& GetArray(DistArrayId id);
-  DistArrayBuffer& GetBuffer(DistArrayId target);
+  // The array's read slab, allocated (zeroed) on first use.
+  f32* Slab(ArrayState& st);
+  // The buffer for `target`, in the slab form when the loop at hand places
+  // the target on the server and it is declared dense.
+  DistArrayBuffer& GetBuffer(DistArrayId target, PartitionScheme scheme);
 
   // spec_depth > 0 lets ordered (wavefront/lockstep) passes fetch up to that
   // many steps ahead speculatively; 0 keeps the synchronous issue-await
@@ -91,18 +100,17 @@ class Executor {
 
   // ---- Prefetch pipeline (paper Sec. 4.4 + comm/compute overlap) ----
   //
-  // A prefetch is split into issue (collect keys, send ParamRequests, replies
-  // land in a ring slot's buffers) and await (drain the front slot's
-  // remaining replies, move its buffers into `prefetch_cache`). Synchronous
+  // A prefetch is split into issue (collect key sets, send ParamRequests,
+  // replies land in a ring slot) and await (drain the front slot's remaining
+  // replies, install them as the arrays' fetched values). Synchronous
   // execution issues and awaits back to back; the pipelined path keeps up to
-  // `prefetch_depth` steps in flight, so the await collapses to a buffer move
+  // `prefetch_depth` steps in flight, so the await collapses to an install
   // when replies already arrived.
-  std::map<DistArrayId, std::vector<i64>> CollectPrefetchKeys(const CompiledLoop& cl, int tau,
-                                                              int step, int chunk,
-                                                              int num_chunks);
+  std::map<DistArrayId, KeySet> CollectPrefetchKeys(const CompiledLoop& cl, int tau, int step,
+                                                    int chunk, int num_chunks);
   // speculative = true marks the slot as fetched against a possibly-stale
   // master snapshot while step `issued_during` was still executing; the slot
-  // then records its key lists so AwaitPrefetch can validate them against
+  // then records its key sets so AwaitPrefetch can validate them against
   // the dirty-range summaries of the steps that completed in between.
   void IssuePrefetch(const CompiledLoop& cl, int tau, int step, int chunk, int num_chunks,
                      bool speculative = false, int issued_during = -1);
@@ -118,7 +126,7 @@ class Executor {
   // repair). After repair the cache is bit-for-bit what a synchronous fetch
   // at this point would have returned.
   struct PrefetchSlot;
-  void RepairSpeculative(const CompiledLoop& cl, const PrefetchSlot& slot);
+  void RepairSpeculative(const PrefetchSlot& slot);
 
   void FlushServerBuffers(const CompiledLoop& cl);
   void ApplyLocalBuffers(const CompiledLoop& cl, int tau);
@@ -192,8 +200,8 @@ class Executor {
   std::vector<AccumOp> accum_ops_;
   std::vector<f32> mutate_scratch_;
 
-  // Cached prefetch key lists: (loop, tau, array) -> keys.
-  std::map<std::tuple<i32, int, DistArrayId>, std::vector<i64>> prefetch_key_cache_;
+  // Cached prefetch key sets: (loop, step, array) -> keys.
+  std::map<std::tuple<i32, int, DistArrayId>, KeySet> prefetch_key_cache_;
 
   // Comm thread for eager sends; Flush()ed at every ordering point (barrier
   // arrival, PassDone, retire ack) so per-link delivery order matches the
@@ -203,7 +211,7 @@ class Executor {
 
   // Ring of in-flight prefetch issues, FIFO by step: front is the next step
   // this worker will execute, back is the deepest issued. Replies are routed
-  // by their step id (PartData::part) into the matching slot's buffers;
+  // by their step id (PartData::part) into the matching slot's landings;
   // anything that matches no slot is stale traffic from an abandoned pass and
   // is dropped. Depth is bounded by ParallelForOptions::prefetch_depth.
   struct PrefetchSlot {
@@ -211,14 +219,25 @@ class Executor {
     int expected = 0;     // requests sent for this step
     int outstanding = 0;  // reply messages not yet installed
     Stopwatch issued_at;
-    std::map<DistArrayId, CellStore> buffers;  // per-array landing pads
+    // Per server-hosted array: what was requested (kept for bitmap requests,
+    // whose replies are values only, and for speculative slots) and the
+    // reply once it lands.
+    struct Landing {
+      KeySet keys;
+      PartData reply;
+      bool replied = false;
+    };
+    std::map<DistArrayId, Landing> landings;
     // Speculative slots: issued against a possibly-stale snapshot while step
-    // `issued_during` ran; `keys` remembers what was requested so the await
-    // can validate against the dirty summaries of steps [issued_during, step).
+    // `issued_during` ran; the await validates their keys against the dirty
+    // summaries of steps [issued_during, step).
     bool speculative = false;
     int issued_during = -1;
-    std::map<DistArrayId, std::vector<i64>> keys;
   };
+  // Installs a landed reply as the array's fetched values: `replace` drops
+  // what the previous fetch left first (a step's fetch); otherwise only the
+  // reply's keys are overwritten (speculative repair).
+  void InstallFetched(ArrayState& st, PrefetchSlot::Landing& landing, bool replace);
   void PublishRingFill() {
     if (ring_fill_gauge_ != nullptr) {
       ring_fill_gauge_->store(static_cast<int>(prefetch_ring_.size()),

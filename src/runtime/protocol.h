@@ -13,6 +13,7 @@
 #include "src/common/trace.h"
 #include "src/common/types.h"
 #include "src/dsm/cell_store.h"
+#include "src/dsm/key_set.h"
 #include "src/net/message.h"
 #include "src/runtime/metrics.h"
 #include "src/runtime/speculation.h"
@@ -209,8 +210,8 @@ struct Retire {
 // or delayed barrier traffic across passes (the tag alone carries only the
 // step). `release` marks the master -> worker "go" broadcast.
 //
-// Two optional trailing sections (section-mask framed, AtEnd-guarded so the
-// bare two-field form stays decodable):
+// Two optional trailing sections, framed by a section mask that is always
+// written:
 //   bit 0 — releases while speculation is on carry the dirty-range summary
 //           of the kOverwrite writes flushed during this step (present even
 //           when empty: "present and empty" proves nothing changed, where
@@ -250,9 +251,6 @@ struct BarrierMsg {
     BarrierMsg b;
     b.pass = r.Get<i32>();
     b.release = r.Get<u8>() != 0;
-    if (r.AtEnd()) {
-      return b;
-    }
     const u8 mask = r.Get<u8>();
     if ((mask & 1) != 0) {
       b.has_dirty = true;
@@ -266,28 +264,70 @@ struct BarrierMsg {
   }
 };
 
+// ---- Parameter-plane wire format (version 2) ----
+//
+// Server-hosted arrays exchange parameters in one of two encodings, chosen
+// by the array's declared density:
+//  - the slab plane (Density::kDense): requests name keys by a bitmap over
+//    the key space, replies carry only the values in bit order
+//    (kPackedReply), and buffered flushes carry the touched bitmap plus the
+//    packed deltas (kPackedApply);
+//  - the key-list plane (Density::kSparse): requests carry an i64 key list,
+//    and replies and flushes carry key+value CellStores.
+// Both name their keys with one KeySet (src/dsm/key_set.h), whose form byte
+// tags the encoding. Version 1 had key lists only and no flag byte.
+//
+//   ParamRequest: u8 version | i32 array | i32 step | u8 flags | KeySet
+//                 flags: bit 0 per_key, bit 1 speculative
+//   PartData, cell modes:   i32 array | i32 part | u8 mode | CellStore
+//   PartData, packed modes: i32 array | i32 part | u8 mode | i32 dim
+//                           | [kPackedApply: KeySet] | u64 n | n x f32
+// A packed flush whose value count is not popcount x dim is refused, and so
+// is a bitmap longer than its key space (KeySet::Deserialize). A packed
+// reply's count is checked against the requester's bitmap on install.
+inline constexpr u8 kParamPlaneVersion = 2;
+
 // Header for kPartitionData messages: a chunk of DistArray cells.
 // `part` is the time-partition index for rotated partitions, -1 otherwise.
 enum class PartDataMode : u8 {
   kInstallPart = 0,    // install into the receiver's partition map [part]
   kInstallRange = 1,   // install as the receiver's range-partition cells
   kOverwrite = 2,      // master-side: overwrite authoritative cells
-  kApplyBufferUdf = 4, // apply with the registered buffer UDF
+  kApplyBufferUdf = 4, // apply with the registered buffer apply
   kReplicaSnapshot = 5,// full replicated-array refresh
+  kPackedReply = 6,    // slab plane reply: values in the request's bit order
+  kPackedApply = 7,    // slab plane flush: touched bitmap + packed deltas
 };
+
+inline bool IsPacked(PartDataMode mode) {
+  return mode == PartDataMode::kPackedReply || mode == PartDataMode::kPackedApply;
+}
 
 struct PartData {
   DistArrayId array = kInvalidDistArrayId;
   i32 part = -1;
   PartDataMode mode = PartDataMode::kInstallPart;
-  CellStore cells;
+  CellStore cells;  // cell modes
+  // Packed modes: floats per key, the keys (kPackedApply only) and the
+  // values in key order.
+  i32 dim = 1;
+  KeySet keys;
+  std::vector<f32> values;
 
   std::vector<u8> Encode() const {
     ByteWriter w(EncodedSize());
     w.Put<i32>(array);
     w.Put<i32>(part);
     w.Put<u8>(static_cast<u8>(mode));
-    cells.Serialize(&w);
+    if (!IsPacked(mode)) {
+      cells.Serialize(&w);
+      return w.Take();
+    }
+    w.Put<i32>(dim);
+    if (mode == PartDataMode::kPackedApply) {
+      keys.Serialize(&w);
+    }
+    w.PutVec(values);
     return w.Take();
   }
 
@@ -297,14 +337,41 @@ struct PartData {
     p.array = r.Get<i32>();
     p.part = r.Get<i32>();
     p.mode = static_cast<PartDataMode>(r.Get<u8>());
-    p.cells = CellStore::Deserialize(&r);
+    if (!IsPacked(p.mode)) {
+      p.cells = CellStore::Deserialize(&r);
+      return p;
+    }
+    p.dim = r.Get<i32>();
+    ORION_CHECK(p.dim > 0) << "packed payload with dim" << p.dim;
+    if (p.mode == PartDataMode::kPackedApply) {
+      p.keys = KeySet::Deserialize(&r);
+    }
+    p.values = r.GetVec<f32>();
+    if (p.mode == PartDataMode::kPackedApply) {
+      ORION_CHECK(static_cast<i64>(p.values.size()) == p.keys.size() * p.dim)
+          << "packed flush of" << p.values.size() << "floats for" << p.keys.size()
+          << "keys of dim" << p.dim;
+    } else {
+      ORION_CHECK(p.values.size() % static_cast<size_t>(p.dim) == 0)
+          << "packed reply of" << p.values.size() << "floats is not a multiple of dim"
+          << p.dim;
+    }
     return p;
+  }
+
+  // Bytes of the cells or packed section alone (no header).
+  size_t PayloadBytes() const {
+    if (!IsPacked(mode)) {
+      return cells.SerializedBytes();
+    }
+    return sizeof(i32) + (mode == PartDataMode::kPackedApply ? keys.SerializedBytes() : 0) +
+           sizeof(u64) + values.size() * sizeof(f32);
   }
 
   // Exact size Encode() would produce; the fabric meters this when the
   // message travels zero-copy.
   size_t EncodedSize() const {
-    return sizeof(i32) + sizeof(i32) + sizeof(u8) + cells.SerializedBytes();
+    return sizeof(i32) + sizeof(i32) + sizeof(u8) + PayloadBytes();
   }
 };
 
@@ -349,11 +416,12 @@ inline PartData TakePart(Message& m) {
   return PartData::Decode(m.payload);
 }
 
-// Bulk-prefetch request: the synthesized access-pattern pass's key list.
+// Bulk-prefetch request: the keys the synthesized access-pattern pass
+// recorded, as a bitmap (dense arrays) or a key list (sparse arrays).
 struct ParamRequest {
   DistArrayId array = kInvalidDistArrayId;
   i32 step = 0;
-  std::vector<i64> keys;
+  KeySet keys;
   // Marks a coalesced kPerKey storm: the keys travel in one wire message but
   // the exchange is metered as keys.size() per-key request/reply pairs.
   bool per_key = false;
@@ -365,32 +433,32 @@ struct ParamRequest {
 
   std::vector<u8> Encode() const {
     ByteWriter w(EncodedSize());
+    w.Put<u8>(kParamPlaneVersion);
     w.Put<i32>(array);
     w.Put<i32>(step);
-    w.Put<u8>(per_key ? 1 : 0);
-    w.PutVec(keys);
-    w.Put<u8>(speculative ? 1 : 0);
+    w.Put<u8>(static_cast<u8>((per_key ? 1 : 0) | (speculative ? 2 : 0)));
+    keys.Serialize(&w);
     return w.Take();
   }
 
   static ParamRequest Decode(const std::vector<u8>& payload) {
     ByteReader r(payload);
+    const u8 version = r.Get<u8>();
+    ORION_CHECK(version == kParamPlaneVersion) << "ParamRequest wire version" << version;
     ParamRequest p;
     p.array = r.Get<i32>();
     p.step = r.Get<i32>();
-    p.per_key = r.Get<u8>() != 0;
-    p.keys = r.GetVec<i64>();
-    if (!r.AtEnd()) {
-      p.speculative = r.Get<u8>() != 0;
-    }
+    const u8 flags = r.Get<u8>();
+    p.per_key = (flags & 1) != 0;
+    p.speculative = (flags & 2) != 0;
+    p.keys = KeySet::Deserialize(&r);
     return p;
   }
 
   // Exact size Encode() would produce; the fabric meters this when the
   // request travels zero-copy.
   size_t EncodedSize() const {
-    return sizeof(i32) + sizeof(i32) + sizeof(u8) + sizeof(u64) +
-           keys.size() * sizeof(i64) + sizeof(u8);
+    return sizeof(u8) + sizeof(i32) + sizeof(i32) + sizeof(u8) + keys.SerializedBytes();
   }
 };
 
@@ -425,15 +493,14 @@ inline ParamRequest TakeParamRequest(Message& m) {
 // sent, each key would have been its own message — one transport header plus
 // one single-key ParamRequest. Meter the batched message as that many
 // latencies and the framing bytes of the (n - 1) messages it absorbed; the
-// key payload bytes themselves are identical in both representations.
+// coalesced payload's key set stands in for the keys themselves.
 inline void MeterAsPerKeyRequests(Message* m, const ParamRequest& req) {
-  const size_t n = req.keys.size();
+  const size_t n = static_cast<size_t>(req.keys.size());
   if (!req.per_key || n <= 1) {
     return;
   }
   // Each of the n-1 extra virtual messages repeats the header and the fixed
-  // request fields; the keys themselves are already counted once in the real
-  // coalesced payload, so the shell here is key-less.
+  // request fields; the shell here is key-less.
   ParamRequest shell;
   shell.per_key = true;
   const size_t per_msg = Message::kHeaderBytes + shell.EncodedSize();
@@ -442,38 +509,59 @@ inline void MeterAsPerKeyRequests(Message* m, const ParamRequest& req) {
 }
 
 // Same for the reply: per-key replies each carry a transport header plus an
-// empty PartData shell (header + empty CellStore); the cell bytes of found
-// keys are identical whether they travel in one reply or n.
-inline void MeterAsPerKeyReplies(Message* m, size_t num_keys, i32 value_dim) {
+// empty reply of the same encoding (`shell_bytes`); the value bytes are
+// identical whether they travel in one reply or n.
+inline void MeterAsPerKeyReplies(Message* m, size_t num_keys, size_t shell_bytes) {
   if (num_keys <= 1) {
     return;
   }
-  PartData shell;
-  shell.cells = CellStore(value_dim, CellStore::Layout::kHashed, 0);
-  const size_t per_msg = Message::kHeaderBytes + shell.EncodedSize();
   m->meter_messages = static_cast<u32>(num_keys);
-  m->meter_extra_bytes = (num_keys - 1) * per_msg;
+  m->meter_extra_bytes = (num_keys - 1) * (Message::kHeaderBytes + shell_bytes);
 }
 
 // Assembles the kParamReply for `req` from `master` (a CellStore, a
 // VersionedCellStore flat or paged, or a pinned Snapshot: anything with
-// `const f32* Get(i64) const`). Hits are copied in request-key order, the
-// order the reply store's insertion-ordered layout makes observable, so the
-// reply bytes depend only on the keys and the values the store holds.
-// `key_bound` is the array's key-space size, the reply store's key bound.
+// `const f32* Get(i64) const`), so the reply bytes depend only on the keys
+// and the values the store holds.
+//  - Bitmap request: a kPackedReply with value_dim floats per set bit, in
+//    ascending key order (a key the store lacks reads as zeros). `key_bound`
+//    must equal the bitmap's key space.
+//  - Key list: a kInstallPart CellStore of the hits, copied in request-key
+//    order (the order the reply store's insertion-ordered layout makes
+//    observable); `key_bound` is the reply store's key bound.
 template <typename Store>
 Message BuildParamReply(const ParamRequest& req, const Store& master, i32 value_dim,
                         i64 key_bound, bool zero_copy) {
   PartData pd;
   pd.array = req.array;
   pd.part = req.step;
-  pd.mode = PartDataMode::kInstallPart;
-  pd.cells = CellStore(value_dim, CellStore::Layout::kHashed, key_bound);
-  pd.cells.Reserve(static_cast<i64>(req.keys.size()));
-  for (i64 key : req.keys) {
-    const f32* v = master.Get(key);
-    if (v != nullptr) {
-      simd::CopyF32(pd.cells.GetOrCreate(key), v, static_cast<size_t>(value_dim));
+  const size_t dim = static_cast<size_t>(value_dim);
+  size_t shell_bytes = 0;
+  if (req.keys.is_bitmap()) {
+    ORION_CHECK(req.keys.total() == key_bound)
+        << "bitmap over" << req.keys.total() << "keys for a key space of" << key_bound;
+    pd.mode = PartDataMode::kPackedReply;
+    pd.dim = value_dim;
+    shell_bytes = pd.EncodedSize();
+    pd.values.resize(static_cast<size_t>(req.keys.size()) * dim);
+    f32* out = pd.values.data();
+    req.keys.ForEach([&](i64 key) {
+      const f32* v = master.Get(key);
+      if (v != nullptr) {
+        simd::CopyF32(out, v, dim);
+      }
+      out += dim;
+    });
+  } else {
+    pd.mode = PartDataMode::kInstallPart;
+    pd.cells = CellStore(value_dim, CellStore::Layout::kHashed, key_bound);
+    shell_bytes = pd.EncodedSize();
+    pd.cells.Reserve(req.keys.size());
+    for (i64 key : req.keys.keys()) {
+      const f32* v = master.Get(key);
+      if (v != nullptr) {
+        simd::CopyF32(pd.cells.GetOrCreate(key), v, dim);
+      }
     }
   }
   Message reply;
@@ -481,7 +569,7 @@ Message BuildParamReply(const ParamRequest& req, const Store& master, i32 value_
   reply.kind = MsgKind::kParamReply;
   reply.tag = static_cast<u32>(req.step);
   if (req.per_key) {
-    MeterAsPerKeyReplies(&reply, req.keys.size(), value_dim);
+    MeterAsPerKeyReplies(&reply, static_cast<size_t>(req.keys.size()), shell_bytes);
   }
   AttachPart(&reply, std::move(pd), zero_copy);
   return reply;

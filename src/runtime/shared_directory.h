@@ -78,7 +78,7 @@ inline constexpr int kMaxRetries = 10;
 struct BufferDef {
   DistArrayId target = kInvalidDistArrayId;
   i32 update_dim = 1;
-  BufferApplyFn apply;
+  BufferApplyFn apply;  // empty: the additive default (cell += update)
 };
 
 class SharedDirectory {

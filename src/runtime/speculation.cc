@@ -87,24 +87,20 @@ bool ArrayDirtyRanges::Contains(i64 key) const {
   return it != ranges.begin() && key <= std::prev(it)->second;
 }
 
-std::vector<i64> ArrayDirtyRanges::ConflictKeys(const std::vector<i64>& sorted_keys) const {
-  if (all_dirty) {
-    return sorted_keys;
-  }
-  std::vector<i64> out;
+void ArrayDirtyRanges::CollectConflicts(const KeySet& keys, KeySet* out) const {
   size_t r = 0;
-  for (i64 k : sorted_keys) {
+  keys.ForEach([&](i64 k) {
+    if (all_dirty) {
+      out->Insert(k);
+      return;
+    }
     while (r < ranges.size() && ranges[r].second < k) {
       ++r;
     }
-    if (r == ranges.size()) {
-      break;
+    if (r < ranges.size() && k >= ranges[r].first) {
+      out->Insert(k);
     }
-    if (k >= ranges[r].first) {
-      out.push_back(k);
-    }
-  }
-  return out;
+  });
 }
 
 void ArrayDirtyRanges::Serialize(ByteWriter* w) const {

@@ -19,6 +19,7 @@
 
 #include "src/common/serde.h"
 #include "src/common/types.h"
+#include "src/dsm/key_set.h"
 
 namespace orion {
 
@@ -41,9 +42,10 @@ struct ArrayDirtyRanges {
 
   bool Contains(i64 key) const;
 
-  // Intersection with a sorted, deduplicated key list. all_dirty returns the
-  // whole list.
-  std::vector<i64> ConflictKeys(const std::vector<i64>& sorted_keys) const;
+  // Inserts into `out` every key of `keys` (a bitmap, or a sorted and
+  // deduplicated list) that lies in a dirty range; all_dirty inserts them
+  // all.
+  void CollectConflicts(const KeySet& keys, KeySet* out) const;
 
   void Serialize(ByteWriter* w) const;
   static ArrayDirtyRanges Deserialize(ByteReader* r);

@@ -198,7 +198,7 @@ TEST(DriverFeatures, ThreeDTensorWithMixedPlacements) {
   auto a = driver.CreateDistArray("A", {kI}, 1, Density::kDense);
   auto b = driver.CreateDistArray("B", {kJ}, 1, Density::kDense);
   auto c = driver.CreateDistArray("C", {kK}, 1, Density::kDense);
-  driver.RegisterBuffer(c, 1, MakeAddApplyFn());
+  driver.RegisterBuffer(c, 1);
   {
     Rng rng(5);
     CellStore& cells = driver.MutableCells(tensor);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "src/common/simd.h"
 #include "src/dsm/cell_store.h"
 #include "src/dsm/dist_array_buffer.h"
+#include "src/dsm/key_set.h"
 #include "src/dsm/key_space.h"
 #include "src/dsm/partition.h"
 #include "src/dsm/randomize.h"
@@ -614,10 +616,63 @@ TEST(RangeSplits, SerializeRoundtrip) {
   EXPECT_EQ(back.uppers(), s.uppers());
 }
 
+// ---- Key sets ----
+
+TEST(KeySet, RunsCoverExactlyTheBitsAndAreMaximal) {
+  Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    const i64 total = 1 + static_cast<i64>(rng.NextBounded(300));
+    const u64 density = rng.NextBounded(5);  // 0 = empty ... 4 = every key
+    KeySet s = KeySet::Bitmap(total);
+    std::vector<i64> want;
+    for (i64 k = 0; k < total; ++k) {
+      if (rng.NextBounded(4) < density) {
+        EXPECT_TRUE(s.Insert(k));
+        EXPECT_FALSE(s.Insert(k));
+        want.push_back(k);
+      }
+    }
+    std::vector<i64> bits;
+    s.ForEach([&](i64 k) { bits.push_back(k); });
+    EXPECT_EQ(bits, want);
+    EXPECT_EQ(s.size(), static_cast<i64>(want.size()));
+    EXPECT_EQ(s.empty(), want.empty());
+    std::vector<i64> from_runs;
+    i64 last_end = -2;
+    s.ForEachRun([&](i64 first, i64 count) {
+      ASSERT_GT(count, 0);
+      EXPECT_GT(first, last_end + 1) << "runs must be maximal";
+      for (i64 k = first; k < first + count; ++k) {
+        from_runs.push_back(k);
+      }
+      last_end = first + count - 1;
+    });
+    EXPECT_EQ(from_runs, want) << "total " << total;
+  }
+}
+
+TEST(KeySet, ListFormKeepsOrderUntilNormalized) {
+  KeySet s;
+  for (const i64 k : {9, 2, 9, 5}) {
+    s.Insert(k);
+  }
+  EXPECT_EQ(s.keys(), (std::vector<i64>{9, 2, 9, 5}));
+  s.Normalize(/*total=*/16);
+  EXPECT_EQ(s.keys(), (std::vector<i64>{2, 5, 9}));
+  EXPECT_EQ(s.size(), 3);
+}
+
+TEST(KeySetDeathTest, BitmapRefusesKeysOutsideItsSpace) {
+  KeySet s = KeySet::Bitmap(10);
+  EXPECT_DEATH(s.Insert(10), "outside the bitmap");
+  EXPECT_DEATH(s.Insert(-1), "outside the bitmap");
+}
+
 // ---- DistArray buffers ----
 
 TEST(Buffer, CoalescesAndApplies) {
-  DistArrayBuffer buf(7, 2, MakeAddApplyFn());
+  DistArrayBuffer buf(7, 2);  // no apply function: the additive default
+  EXPECT_TRUE(buf.additive());
   const f32 u1[2] = {1.0f, 2.0f};
   const f32 u2[2] = {3.0f, 4.0f};
   buf.Accumulate(5, u1);
@@ -632,6 +687,80 @@ TEST(Buffer, CoalescesAndApplies) {
   EXPECT_FLOAT_EQ(target.Get(5)[0], 14.0f);
   EXPECT_FLOAT_EQ(target.Get(5)[1], 6.0f);
   EXPECT_FLOAT_EQ(target.Get(9)[0], 1.0f);
+}
+
+TEST(Buffer, SlabFormHoldsTheHashedFormsDeltas) {
+  constexpr i32 kDim = 2;
+  constexpr i64 kBound = 200;
+  DistArrayBuffer hashed(7, kDim, {}, kBound);
+  DistArrayBuffer slab(7, kDim, {}, kBound, /*slab=*/true);
+  Rng rng(5);
+  for (int i = 0; i < 500; ++i) {
+    const i64 key = static_cast<i64>(rng.NextIndex(kBound));
+    const f32 u[kDim] = {static_cast<f32>(rng.NextGaussian()), 0.1f * static_cast<f32>(i)};
+    hashed.Accumulate(key, u);
+    slab.Accumulate(key, u);
+  }
+  ASSERT_EQ(slab.NumPending(), hashed.NumPending());
+  const CellStore want = hashed.Drain();
+  // The slab drains packed, in key order, with bit-identical deltas.
+  KeySet keys;
+  std::vector<f32> values;
+  slab.DrainPacked(&keys, &values);
+  EXPECT_EQ(slab.NumPending(), 0);
+  ASSERT_EQ(keys.size(), want.NumCells());
+  std::vector<i64> sorted = want.keys();
+  std::sort(sorted.begin(), sorted.end());
+  size_t i = 0;
+  keys.ForEach([&](i64 key) {
+    ASSERT_EQ(key, sorted[i]);
+    EXPECT_EQ(std::memcmp(values.data() + i * kDim, want.Get(key), kDim * sizeof(f32)), 0);
+    ++i;
+  });
+  // Drained, the slab holds zeros again: the next round starts clean.
+  const f32 one[kDim] = {1.0f, 1.0f};
+  slab.Accumulate(3, one);
+  slab.DrainPacked(&keys, &values);
+  EXPECT_EQ(keys.size(), 1);
+  EXPECT_EQ(values, (std::vector<f32>{1.0f, 1.0f}));
+}
+
+TEST(Buffer, ApplyPackedMatchesPerKeyApply) {
+  constexpr i32 kDim = 3;
+  constexpr i64 kBound = 90;
+  Rng rng(8);
+  KeySet keys = KeySet::Bitmap(kBound);
+  for (i64 k = 0; k < kBound; ++k) {
+    if (rng.NextBounded(3) != 0) {
+      keys.Insert(k);
+    }
+  }
+  std::vector<f32> values;
+  for (i64 i = 0; i < keys.size() * kDim; ++i) {
+    values.push_back(static_cast<f32>(rng.NextGaussian()));
+  }
+  auto fresh = [&] {
+    CellStore s(kDim, CellStore::Layout::kFullDense, kBound);
+    s.ForEach([](i64 key, f32* v) { v[0] = v[1] = v[2] = 0.5f * static_cast<f32>(key); });
+    return s;
+  };
+  auto max_apply = [](f32* cell, const f32* update, i32 dim) {
+    for (i32 d = 0; d < dim; ++d) {
+      cell[d] = std::max(cell[d], update[d]);
+    }
+  };
+  for (const bool udf : {false, true}) {
+    const BufferApplyFn apply = udf ? BufferApplyFn(max_apply) : BufferApplyFn();
+    CellStore want = fresh();
+    size_t i = 0;
+    keys.ForEach([&](i64 key) {
+      ApplyBufferedUpdate(apply, want.GetOrCreate(key), values.data() + i * kDim, kDim);
+      ++i;
+    });
+    CellStore got = fresh();
+    DistArrayBuffer::ApplyPacked(&got, keys, values, kDim, apply);
+    EXPECT_EQ(got.raw_values(), want.raw_values()) << (udf ? "udf" : "additive");
+  }
 }
 
 TEST(Buffer, CustomApplyUdf) {

@@ -518,7 +518,7 @@ class Workload {
     driver_.MapCells(table_w_, [](i64 key, f32* v) {
       v[0] = static_cast<f32>(key % 5);
     });
-    driver_.RegisterBuffer(table_w_, 1, MakeAddApplyFn());
+    driver_.RegisterBuffer(table_w_, 1);
     acc_ = driver_.CreateAccumulator();
 
     LoopSpec spec;

@@ -17,6 +17,7 @@
 
 #include "src/apps/lda.h"
 #include "src/apps/sgd_mf.h"
+#include "src/dsm/dist_array_buffer.h"
 #include "src/net/fault_injector.h"
 #include "src/runtime/driver.h"
 #include "src/runtime/protocol.h"
@@ -259,6 +260,180 @@ TEST(ProtocolRoundTrip, PassDoneWithSpansSpeculationAndAccumulators) {
   EXPECT_EQ(got.spec_wait_seconds, 0.375);
   // Nothing is dropped: re-encoding the decoded message gives the same bytes.
   EXPECT_EQ(got.Encode(), bytes);
+}
+
+// ---- Parameter-plane round trips (slab plane: bitmaps and packed values) ----
+
+KeySet BitmapOf(i64 total, const std::vector<i64>& keys) {
+  KeySet s = KeySet::Bitmap(total);
+  for (const i64 k : keys) {
+    s.Insert(k);
+  }
+  return s;
+}
+
+// Sends `req` both ways: the zero-copy carrier and the encoded bytes must
+// decode to the same request, and EncodedSize() must be the encoded size.
+ParamRequest RoundTripRequest(const ParamRequest& req) {
+  const std::vector<u8> bytes = req.Encode();
+  EXPECT_EQ(req.EncodedSize(), bytes.size());
+  Message zc;
+  AttachParamRequest(&zc, req, /*zero_copy=*/true);
+  Message enc;
+  AttachParamRequest(&enc, req, /*zero_copy=*/false);
+  EXPECT_EQ(enc.payload, bytes);
+  const ParamRequest a = TakeParamRequest(zc);
+  const ParamRequest b = TakeParamRequest(enc);
+  EXPECT_EQ(a.array, b.array);
+  EXPECT_EQ(a.step, b.step);
+  EXPECT_EQ(a.per_key, b.per_key);
+  EXPECT_EQ(a.speculative, b.speculative);
+  EXPECT_EQ(a.keys, b.keys);
+  EXPECT_EQ(b.Encode(), bytes);
+  return b;
+}
+
+// Same for a PartData (packed replies and flushes).
+PartData RoundTripPart(const PartData& pd) {
+  const std::vector<u8> bytes = pd.Encode();
+  EXPECT_EQ(pd.EncodedSize(), bytes.size());
+  Message zc;
+  AttachPart(&zc, pd, /*zero_copy=*/true);
+  Message enc;
+  AttachPart(&enc, pd, /*zero_copy=*/false);
+  const PartData a = TakePart(zc);
+  const PartData b = TakePart(enc);
+  EXPECT_EQ(a.array, b.array);
+  EXPECT_EQ(a.part, b.part);
+  EXPECT_TRUE(a.mode == b.mode);
+  EXPECT_EQ(a.dim, b.dim);
+  EXPECT_EQ(a.keys, b.keys);
+  EXPECT_EQ(a.values, b.values);
+  EXPECT_EQ(a.Encode(), bytes);
+  EXPECT_EQ(b.Encode(), bytes);
+  return b;
+}
+
+TEST(ProtocolRoundTrip, BitmapParamRequests) {
+  std::vector<i64> all(130);
+  for (i64 k = 0; k < 130; ++k) {
+    all[static_cast<size_t>(k)] = k;
+  }
+  const struct {
+    const char* name;
+    i64 total;
+    std::vector<i64> keys;
+  } cases[] = {
+      {"empty", 130, {}},
+      {"one_bit", 130, {77}},
+      {"all_bits", 130, all},
+      {"last_key_of_a_partial_word", 130, {0, 63, 64, 129}},
+      {"word_multiple", 128, {1, 127}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ParamRequest req{/*array=*/3, /*step=*/5, BitmapOf(c.total, c.keys)};
+    req.per_key = c.keys.size() == 1;
+    req.speculative = true;
+    const ParamRequest got = RoundTripRequest(req);
+    EXPECT_TRUE(got.keys.is_bitmap());
+    EXPECT_EQ(got.keys.total(), c.total);
+    EXPECT_EQ(got.keys.size(), static_cast<i64>(c.keys.size()));
+    std::vector<i64> seen;
+    got.keys.ForEach([&](i64 k) { seen.push_back(k); });
+    EXPECT_EQ(seen, c.keys);
+    EXPECT_EQ(got.per_key, req.per_key);
+    EXPECT_TRUE(got.speculative);
+  }
+}
+
+TEST(ProtocolRoundTrip, PackedReplies) {
+  constexpr i32 kDim = 2;
+  CellStore master(kDim, CellStore::Layout::kFullDense, 130);
+  master.ForEach([](i64 key, f32* v) {
+    v[0] = static_cast<f32>(key) + 0.5f;
+    v[1] = -static_cast<f32>(key);
+  });
+  for (const std::vector<i64>& keys :
+       {std::vector<i64>{}, std::vector<i64>{129}, std::vector<i64>{0, 1, 2, 64, 100, 129}}) {
+    const ParamRequest req{/*array=*/4, /*step=*/2, BitmapOf(130, keys)};
+    for (const bool zero_copy : {false, true}) {
+      Message reply = BuildParamReply(req, master, kDim, /*key_bound=*/130, zero_copy);
+      const size_t wire = reply.WireSize();
+      EXPECT_EQ(wire, Message::kHeaderBytes + TakePart(reply).EncodedSize());
+    }
+    Message reply = BuildParamReply(req, master, kDim, 130, /*zero_copy=*/true);
+    const PartData got = RoundTripPart(TakePart(reply));
+    EXPECT_TRUE(got.mode == PartDataMode::kPackedReply);
+    EXPECT_EQ(got.part, 2);
+    ASSERT_EQ(got.values.size(), keys.size() * kDim);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(got.values[2 * i], static_cast<f32>(keys[i]) + 0.5f);
+      EXPECT_EQ(got.values[2 * i + 1], -static_cast<f32>(keys[i]));
+    }
+  }
+}
+
+TEST(ProtocolRoundTrip, PackedFlushes) {
+  constexpr i32 kDim = 3;
+  for (const std::vector<i64>& keys :
+       {std::vector<i64>{}, std::vector<i64>{5}, std::vector<i64>{129, 0, 64, 63, 0, 129}}) {
+    DistArrayBuffer buf(/*target=*/6, kDim, {}, /*key_bound=*/130, /*slab=*/true);
+    for (const i64 k : keys) {
+      const f32 u[kDim] = {1.0f, 0.25f * static_cast<f32>(k), -2.0f};
+      buf.Accumulate(k, u);
+    }
+    PartData pd;
+    pd.array = 6;
+    pd.mode = PartDataMode::kPackedApply;
+    pd.dim = kDim;
+    buf.DrainPacked(&pd.keys, &pd.values);
+    EXPECT_EQ(buf.NumPending(), 0);
+    const PartData got = RoundTripPart(pd);
+    EXPECT_TRUE(got.mode == PartDataMode::kPackedApply);
+    EXPECT_EQ(static_cast<i64>(got.values.size()), got.keys.size() * kDim);
+  }
+}
+
+TEST(ProtocolRoundTripDeathTest, RefusesMalformedBitmapsAndPackedCounts) {
+  // A bitmap one word longer than its key space.
+  {
+    ByteWriter w;
+    w.Put<u8>(static_cast<u8>(KeySet::Form::kBitmap));
+    w.Put<i64>(130);
+    w.PutVec(std::vector<u64>{0, 0, 0, 0});
+    const std::vector<u8> bytes = w.Take();
+    EXPECT_DEATH(
+        {
+          ByteReader r(bytes);
+          KeySet::Deserialize(&r);
+        },
+        "words for a key space");
+  }
+  // A set bit past the key space, inside the last word.
+  {
+    ByteWriter w;
+    w.Put<u8>(static_cast<u8>(KeySet::Form::kBitmap));
+    w.Put<i64>(130);
+    w.PutVec(std::vector<u64>{0, 0, u64{1} << 2});
+    const std::vector<u8> bytes = w.Take();
+    EXPECT_DEATH(
+        {
+          ByteReader r(bytes);
+          KeySet::Deserialize(&r);
+        },
+        "past its key space");
+  }
+  // A packed flush whose value count is not popcount x dim.
+  {
+    PartData pd;
+    pd.mode = PartDataMode::kPackedApply;
+    pd.dim = 2;
+    pd.keys = BitmapOf(130, {1, 2, 3});
+    pd.values.assign(5, 1.0f);
+    const std::vector<u8> bytes = pd.Encode();
+    EXPECT_DEATH(PartData::Decode(bytes), "packed flush");
+  }
 }
 
 // ---- End-to-end chaos: SGD MF ----

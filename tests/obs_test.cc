@@ -448,7 +448,7 @@ TEST(ObsFlightRecorder, CrashRecoveryLeavesParseableBlackBox) {
   });
   driver.MapCells(table_r, [](i64 key, f32* v) { v[0] = static_cast<f32>(key % 11); });
   driver.MapCells(table_w, [](i64 key, f32* v) { v[0] = static_cast<f32>(key % 5); });
-  driver.RegisterBuffer(table_w, 1, MakeAddApplyFn());
+  driver.RegisterBuffer(table_w, 1);
 
   LoopSpec spec;
   spec.iter_space = samples;

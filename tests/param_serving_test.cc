@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <ostream>
@@ -311,7 +312,7 @@ TEST(PerKeyMetering, CoalescedRequestChargesLikeStorm) {
 
   Fabric storm(1, net);
   for (i64 key : keys) {
-    ParamRequest req{7, 5, {key}};
+    ParamRequest req{7, 5, KeySet({key})};
     req.per_key = true;
     Message m;
     m.from = 0;
@@ -323,7 +324,7 @@ TEST(PerKeyMetering, CoalescedRequestChargesLikeStorm) {
 
   Fabric coalesced(1, net);
   {
-    ParamRequest req{7, 5, keys};
+    ParamRequest req{7, 5, KeySet(keys)};
     req.per_key = true;
     Message m;
     m.from = 0;
@@ -358,7 +359,7 @@ TEST(PerKeyMetering, CoalescedReplyChargesLikeStorm) {
 
   Fabric storm(1, net);
   for (i64 key : keys) {
-    ParamRequest req{4, 2, {key}};
+    ParamRequest req{4, 2, KeySet({key})};
     req.per_key = true;
     Message reply = BuildParamReply(req, master, kDim, /*key_bound=*/0, /*zero_copy=*/false);
     reply.to = 0;
@@ -367,7 +368,7 @@ TEST(PerKeyMetering, CoalescedReplyChargesLikeStorm) {
 
   Fabric coalesced(1, net);
   {
-    ParamRequest req{4, 2, keys};
+    ParamRequest req{4, 2, KeySet(keys)};
     req.per_key = true;
     Message reply = BuildParamReply(req, master, kDim, /*key_bound=*/0, /*zero_copy=*/false);
     reply.to = 0;
@@ -382,13 +383,13 @@ TEST(PerKeyMetering, CoalescedReplyChargesLikeStorm) {
 }
 
 TEST(PerKeyMetering, ParamRequestEncodedSizeMatchesEncode) {
-  ParamRequest empty{1, 0, {}};
+  ParamRequest empty{1, 0, KeySet()};
   EXPECT_EQ(empty.EncodedSize(), empty.Encode().size());
 
-  ParamRequest bulk{2, 3, {1, 2, 3, 4, 5}};
+  ParamRequest bulk{2, 3, KeySet({1, 2, 3, 4, 5})};
   EXPECT_EQ(bulk.EncodedSize(), bulk.Encode().size());
 
-  ParamRequest perkey{2, 3, {10, 20}};
+  ParamRequest perkey{2, 3, KeySet({10, 20})};
   perkey.per_key = true;
   EXPECT_EQ(perkey.EncodedSize(), perkey.Encode().size());
   const ParamRequest decoded = ParamRequest::Decode(perkey.Encode());
@@ -405,7 +406,7 @@ TEST(PerKeyMetering, BuildParamReplyPreservesKeyOrder) {
     v[0] = static_cast<f32>(key);
     v[1] = static_cast<f32>(-key);
   }
-  ParamRequest req{0, 0, {9, 4, 1, 5}};  // 4 misses
+  ParamRequest req{0, 0, KeySet({9, 4, 1, 5})};  // 4 misses
   Message reply = BuildParamReply(req, master, kDim, /*key_bound=*/0, /*zero_copy=*/false);
   PartData pd = TakePart(reply);
   EXPECT_EQ(pd.cells.keys(), (std::vector<i64>{9, 1, 5}));  // request order, misses skipped
@@ -425,6 +426,8 @@ void ExpectSameReply(Message want, Message got, const std::string& what) {
   EXPECT_EQ(got.WireSize(), want.WireSize()) << what;
   const PartData want_pd = TakePart(want);
   const PartData got_pd = TakePart(got);
+  EXPECT_TRUE(got_pd.mode == want_pd.mode) << what;
+  EXPECT_EQ(got_pd.values, want_pd.values) << what;
   EXPECT_EQ(got_pd.cells.keys(), want_pd.cells.keys()) << what;
   EXPECT_EQ(got_pd.Encode(), want_pd.Encode()) << what;
   // Zero-copy replies keep their store, bound and index included.
@@ -481,6 +484,7 @@ struct ReplyCase {
   std::vector<i64> keys;
   bool per_key = false;
   bool bounded = false;  // reply store bounded by the array's key space
+  bool bitmap = false;   // slab-plane request: the keys as a bitmap
 };
 
 std::vector<ReplyCase> ReplyCases() {
@@ -512,6 +516,20 @@ std::vector<ReplyCase> ReplyCases() {
       out.push_back(std::move(c));
     }
   }
+  // Slab-plane requests: a bitmap over the whole key space, answered with
+  // the values in bit order (the bitmap's bound is the key space).
+  const std::vector<ReplyCase> bitmaps = {
+      {"dense_bitmap_scattered", true, {450, 101, 899, 100, 777, 450}},
+      {"dense_bitmap_all", true, dense},
+      {"dense_bitmap_empty", true, {}},
+      {"dense_bitmap_per_key", true, {777, 101}, true},
+  };
+  for (ReplyCase c : bitmaps) {
+    c.bounded = true;
+    c.bitmap = true;
+    c.name += "_bounded";
+    out.push_back(std::move(c));
+  }
   return out;
 }
 
@@ -531,7 +549,14 @@ TEST_P(BuildParamReplyTest, SameBytesFromFlatPagedAndPinnedStores) {
   ASSERT_GT(paged.num_pages(), 1);
   const VersionedCellStore::Snapshot pinned = paged.Pin();
 
-  ParamRequest req{/*array=*/7, /*step=*/3, c.keys};
+  KeySet keys(c.keys);
+  if (c.bitmap) {
+    keys = KeySet::Bitmap(bound);
+    for (const i64 k : c.keys) {
+      keys.Insert(k);
+    }
+  }
+  ParamRequest req{/*array=*/7, /*step=*/3, std::move(keys)};
   req.per_key = c.per_key;
   for (bool zero_copy : {false, true}) {
     const std::string how = zero_copy ? " zero_copy" : " encoded";
@@ -552,6 +577,191 @@ TEST_P(BuildParamReplyTest, SameBytesFromFlatPagedAndPinnedStores) {
 }
 
 INSTANTIATE_TEST_SUITE_P(StoreForms, BuildParamReplyTest, ::testing::ValuesIn(ReplyCases()));
+
+TEST(PerKeyMetering, BitmapRequestMetersOneMessagePerSetBit) {
+  KeySet keys = KeySet::Bitmap(1000);
+  for (const i64 k : {3, 4, 5, 900, 999}) {
+    keys.Insert(k);
+  }
+  ParamRequest req{7, 5, std::move(keys)};
+  req.per_key = true;
+  Message m;
+  MeterAsPerKeyRequests(&m, req);
+  EXPECT_EQ(m.meter_messages, 5u);
+
+  CellStore master(1, CellStore::Layout::kFullDense, 1000);
+  Message reply = BuildParamReply(req, master, 1, /*key_bound=*/1000, /*zero_copy=*/false);
+  EXPECT_EQ(reply.meter_messages, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Slab plane vs key-list plane: the same SLR-shaped loop with its weights
+// declared dense (bitmaps, packed values, read and delta slabs) and sparse
+// (key lists and CellStores) must give bit-identical losses and weights at
+// one worker, for additive and AdaRev buffers, every prefetch mode, and the
+// synthesized prefetch program.
+
+struct SlabCase {
+  std::string name;
+  bool adarev = false;
+  PrefetchMode mode = PrefetchMode::kBulk;
+  bool body_ir = false;
+};
+
+void PrintTo(const SlabCase& c, std::ostream* os) { *os << c.name; }
+
+struct SlrShapedRun {
+  std::vector<f64> losses;            // per pass
+  std::map<i64, std::vector<f32>> w;  // every key, absent sparse cells as zeros
+  u64 bytes_sent = 0;
+};
+
+SlrShapedRun RunSlrShaped(const SlabCase& c, Density density) {
+  constexpr i64 kSamples = 400;
+  constexpr i64 kFeatures = 300;
+  constexpr int kNnz = 6;
+  constexpr int kStride = 2 + 2 * kNnz;
+  const int wdim = c.adarev ? 3 : 1;
+  DriverConfig cfg;
+  cfg.num_workers = 1;
+  Driver driver(cfg);
+  const DistArrayId samples =
+      driver.CreateDistArray("samples", {kSamples}, kStride, Density::kSparse);
+  const DistArrayId weights = driver.CreateDistArray("weights", {kFeatures}, wdim, density);
+  {
+    CellStore& cells = driver.MutableCells(samples);
+    Rng rng(21);
+    for (i64 s = 0; s < kSamples; ++s) {
+      f32* cell = cells.GetOrCreate(s);
+      const int n = 1 + static_cast<int>(rng.NextBounded(kNnz));
+      cell[0] = rng.NextBounded(2) == 0 ? 0.0f : 1.0f;
+      cell[1] = static_cast<f32>(n);
+      for (int f = 0; f < n; ++f) {
+        // Skewed ids: low features recur, so flushes coalesce and runs form.
+        const i64 id = static_cast<i64>(rng.NextIndex(kFeatures) * rng.NextIndex(kFeatures)) /
+                       kFeatures;
+        cell[2 + 2 * f] = static_cast<f32>(id);
+        cell[3 + 2 * f] = 0.25f + static_cast<f32>(rng.NextBounded(8)) * 0.125f;
+      }
+    }
+  }
+  if (c.adarev) {
+    driver.RegisterBuffer(weights, 2, [](f32* cell, const f32* update, i32) {
+      const f32 g = update[0];
+      const f32 g_bwd = cell[2] - update[1];
+      const f32 extra = g * g_bwd;
+      const f32 z_new = cell[1] + g * g + 2.0f * (extra > 0.0f ? extra : 0.0f);
+      cell[0] -= 0.1f / std::sqrt(1.0f + z_new) * g;
+      cell[1] = z_new;
+      cell[2] += g;
+    });
+  } else {
+    driver.RegisterBuffer(weights, 1);
+  }
+  const int acc = driver.CreateAccumulator();
+  const bool adarev = c.adarev;
+  LoopKernel kernel = [=](LoopContext& ctx, IdxSpan, const f32* value) {
+    const int n = static_cast<int>(value[1]);
+    f64 margin = 0.0;
+    f32 seen[kNnz] = {};
+    for (int f = 0; f < n; ++f) {
+      const i64 id[1] = {static_cast<i64>(value[2 + 2 * f])};
+      const f32* w = ctx.Read(weights, id);
+      margin += static_cast<f64>(w[0]) * static_cast<f64>(value[3 + 2 * f]);
+      seen[f] = adarev ? w[2] : 0.0f;
+    }
+    const f64 p = 1.0 / (1.0 + std::exp(-margin));
+    ctx.AccumulatorAdd(acc, value[0] > 0.5f ? -std::log(p + 1e-12) : -std::log(1.0 - p + 1e-12));
+    const f32 err = static_cast<f32>(p) - value[0];
+    for (int f = 0; f < n; ++f) {
+      const i64 id[1] = {static_cast<i64>(value[2 + 2 * f])};
+      const f32 g = err * value[3 + 2 * f];
+      const f32 update[2] = {adarev ? g : -0.05f * g, seen[f]};
+      ctx.BufferUpdate(weights, id, update);
+    }
+  };
+  ParallelForOptions options;
+  options.prefetch = c.mode;
+  options.server_sync_rounds = 4;
+  // Host the weights on the server, the empty sparse declaration included.
+  options.planner.replicate_threshold_floats = -1;
+  StatusOr<i32> loop = Status::Internal("unset");
+  if (!c.body_ir) {
+    LoopSpec spec;
+    spec.iter_space = samples;
+    spec.iter_extents = {kSamples};
+    spec.AddAccess(weights, "weights", {Expr::Runtime("id")}, /*is_write=*/false);
+    spec.AddAccess(weights, "weights", {Expr::Runtime("id")}, /*is_write=*/true,
+                   /*buffered=*/true);
+    loop = driver.Compile(spec, kernel, options);
+  } else {
+    // for f in 0..n-1 { id = value[2 + 2f]; w = weights[id]; buffer(weights)[id] <- w }
+    LoopBody body;
+    body.num_index_dims = 1;
+    body.num_vars = 4;  // 0=n, 1=f, 2=id, 3=w
+    std::vector<StmtPtr> inner;
+    inner.push_back(Stmt::Assign(2, SExpr::IterValueAt(SExpr::Add(
+                                        SExpr::Const(2), SExpr::Mul(SExpr::Const(2),
+                                                                    SExpr::Var(1))))));
+    inner.push_back(Stmt::Assign(3, SExpr::ArrayElem(weights, {SExpr::Var(2)}, SExpr::Const(0))));
+    inner.push_back(Stmt::BufferUpdate(weights, "weights", {SExpr::Var(2)}, {SExpr::Var(3)}));
+    body.stmts.push_back(Stmt::Assign(0, SExpr::IterValueAt(SExpr::Const(1))));
+    body.stmts.push_back(Stmt::For(1, SExpr::Var(0), std::move(inner)));
+    loop = driver.CompileBody(samples, {kSamples}, /*ordered=*/false, body, kernel, options);
+  }
+  EXPECT_TRUE(loop.ok()) << loop.status();
+  if (!loop.ok()) {
+    return {};
+  }
+  EXPECT_EQ(driver.PlanOf(*loop).placements.at(weights).scheme, PartitionScheme::kServer);
+  SlrShapedRun out;
+  for (int pass = 0; pass < 4; ++pass) {
+    driver.ResetAccumulator(acc);
+    EXPECT_TRUE(driver.Execute(*loop).ok());
+    out.losses.push_back(driver.AccumulatorValue(acc));
+  }
+  out.bytes_sent = driver.NetStats().bytes_sent;
+  const CellStore& w = driver.Cells(weights);
+  for (i64 k = 0; k < kFeatures; ++k) {
+    const f32* v = w.Get(k);
+    out.w[k] = v != nullptr ? std::vector<f32>(v, v + wdim) : std::vector<f32>(wdim, 0.0f);
+  }
+  return out;
+}
+
+class SlabPlaneTest : public ::testing::TestWithParam<SlabCase> {};
+
+TEST_P(SlabPlaneTest, DenseAndSparseDeclarationsAgreeBitForBit) {
+  const SlrShapedRun dense = RunSlrShaped(GetParam(), Density::kDense);
+  const SlrShapedRun sparse = RunSlrShaped(GetParam(), Density::kSparse);
+  ASSERT_EQ(dense.losses.size(), 4u);
+  ASSERT_EQ(sparse.losses.size(), 4u);
+  for (size_t p = 0; p < dense.losses.size(); ++p) {
+    EXPECT_EQ(std::memcmp(&dense.losses[p], &sparse.losses[p], sizeof(f64)), 0)
+        << "pass " << p << ": " << dense.losses[p] << " vs " << sparse.losses[p];
+  }
+  EXPECT_LT(dense.losses.back(), dense.losses.front());  // it trains
+  EXPECT_TRUE(BitIdentical(dense.w, sparse.w));
+  // The dense run really took the slab plane: no i64 key on the wire.
+  EXPECT_LT(dense.bytes_sent, sparse.bytes_sent);
+}
+
+std::vector<SlabCase> SlabCases() {
+  std::vector<SlabCase> out;
+  for (const bool adarev : {false, true}) {
+    for (const auto& [mode, mode_name] : {std::pair{PrefetchMode::kBulk, "bulk"},
+                                          std::pair{PrefetchMode::kCached, "cached"},
+                                          std::pair{PrefetchMode::kPerKey, "per_key"}}) {
+      out.push_back({std::string(adarev ? "adarev_" : "additive_") + mode_name, adarev, mode});
+    }
+    out.push_back({std::string(adarev ? "adarev_" : "additive_") + "body_ir", adarev,
+                   PrefetchMode::kBulk, true});
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(SlabPlane, SlabPlaneTest, ::testing::ValuesIn(SlabCases()),
+                         [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace orion

@@ -107,7 +107,7 @@ TEST(RuntimeSmoke, OneDWithServerReadsAndBufferedWrites) {
 
   auto data = driver.CreateDistArray("samples", {kSamples}, 1, Density::kSparse);
   auto weights = driver.CreateDistArray("weights", {kFeatures}, 1, Density::kDense);
-  driver.RegisterBuffer(weights, 1, MakeAddApplyFn());
+  driver.RegisterBuffer(weights, 1);
 
   {
     CellStore& cells = driver.MutableCells(data);

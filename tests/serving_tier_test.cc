@@ -514,7 +514,7 @@ ServerWorkload MakeServerWorkload(FaultPlan fault_plan = {}) {
       v[0] = static_cast<f32>(key % 3);
     });
   }
-  w.driver->RegisterBuffer(w.table_w, 1, MakeAddApplyFn());
+  w.driver->RegisterBuffer(w.table_w, 1);
 
   LoopSpec spec;
   spec.iter_space = w.samples;

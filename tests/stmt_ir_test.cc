@@ -133,10 +133,10 @@ TEST(StmtIr, SlrSliceRecordsExactlyTheTouchedWeights) {
   const f32 value[8] = {1.0f, 3.0f, 5.0f, 0.5f, 11.0f, 0.25f, 2.0f, 1.0f};
   std::map<DistArrayId, KeySpace> spaces;
   spaces.emplace(7, KeySpace({100}));
-  std::map<DistArrayId, std::vector<i64>> keys;
+  std::map<DistArrayId, KeySet> keys;
   const i64 idx[1] = {0};
   program.Run(idx, value, 8, spaces, &keys);
-  EXPECT_EQ(keys[7], (std::vector<i64>{5, 11, 2}));
+  EXPECT_EQ(keys[7].keys(), (std::vector<i64>{5, 11, 2}));
 }
 
 TEST(StmtIr, SliceDropsPureComputeStatements) {
@@ -197,14 +197,14 @@ TEST(StmtIr, ConditionalReadsRespectControlFlow) {
 
   std::map<DistArrayId, KeySpace> spaces;
   spaces.emplace(1, KeySpace({10}));
-  std::map<DistArrayId, std::vector<i64>> keys;
+  std::map<DistArrayId, KeySet> keys;
   const i64 idx[1] = {4};
   const f32 off[1] = {0.0f};
   program.Run(idx, off, 1, spaces, &keys);
   EXPECT_TRUE(keys[1].empty());
   const f32 on[1] = {1.0f};
   program.Run(idx, on, 1, spaces, &keys);
-  EXPECT_EQ(keys[1], std::vector<i64>{4});
+  EXPECT_EQ(keys[1].keys(), std::vector<i64>{4});
 }
 
 // ---- End-to-end: CompileBody drives a real loop ----
@@ -220,7 +220,7 @@ TEST(StmtIr, CompileBodyRunsSlrEndToEnd) {
   Driver driver(cfg);
   auto samples = driver.CreateDistArray("samples", {kSamples}, 3, Density::kSparse);
   auto weights = driver.CreateDistArray("weights", {kFeatures}, 1, Density::kDense);
-  driver.RegisterBuffer(weights, 1, MakeAddApplyFn());
+  driver.RegisterBuffer(weights, 1);
   std::vector<f64> want(static_cast<size_t>(kFeatures), 0.0);
   {
     CellStore& cells = driver.MutableCells(samples);

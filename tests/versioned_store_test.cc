@@ -79,6 +79,37 @@ TEST(VersionedStore, SnapshotIsolationDense) {
   EXPECT_EQ(back.Get(kP + 1)[0], static_cast<f32>(kP + 1));
 }
 
+TEST(VersionedStore, PackedApplySplitsRunsAtPagesAndClonesOnce) {
+  // A slab-plane flush adds runs of consecutive keys; on a paged store a run
+  // that crosses a page boundary lands in both pages, each cloned once while
+  // a snapshot shares it, and the result equals the flat store's.
+  constexpr i64 kCells = 2 * kP + 77;
+  auto make = [] {
+    CellStore flat(1, CellStore::Layout::kFullDense, kCells);
+    flat.ForEach([](i64 key, f32* v) { v[0] = static_cast<f32>(key); });
+    return flat;
+  };
+  KeySet keys = KeySet::Bitmap(kCells);
+  for (i64 k = kP - 3; k < kP + 3; ++k) {  // one run across the page 0/1 boundary
+    keys.Insert(k);
+  }
+  keys.Insert(2 * kP + 10);
+  const std::vector<f32> values(static_cast<size_t>(keys.size()), 0.5f);
+
+  VersionedCellStore flat(make());
+  DistArrayBuffer::ApplyPacked(&flat, keys, values, 1, {});
+  VersionedCellStore paged(make());
+  paged.BeginServing();
+  VersionedCellStore::Snapshot snap = paged.Pin();
+  DistArrayBuffer::ApplyPacked(&paged, keys, values, 1, {});
+  EXPECT_EQ(paged.TakeStats().pages_cloned, 3u);
+  for (i64 k = 0; k < kCells; ++k) {
+    ASSERT_EQ(paged.Get(k)[0], flat.Get(k)[0]) << "key " << k;
+    ASSERT_EQ(snap.Get(k)[0], static_cast<f32>(k)) << "the snapshot saw key " << k;
+  }
+  EXPECT_EQ(flat.Get(kP)[0], static_cast<f32>(kP) + 0.5f);
+}
+
 TEST(VersionedStore, NoCopyWhenUnique) {
   CellStore flat(1, CellStore::Layout::kFullDense, kP + 10);
   VersionedCellStore store(std::move(flat));
@@ -260,7 +291,7 @@ OneDResult RunOneD(const OneDOptions& opt) {
     v[0] = static_cast<f32>(key % 11);
     v[1] = static_cast<f32>(key % 7);
   });
-  driver.RegisterBuffer(table_w, 1, MakeAddApplyFn());
+  driver.RegisterBuffer(table_w, 1);
   const int acc = driver.CreateAccumulator();
 
   LoopSpec spec;
@@ -373,7 +404,7 @@ TEST(VersionedServing1D, ReadOwnWritesSingleWorker) {
     driver.MapCells(weights, [](i64 key, f32* v) {
       v[0] = 0.1f * static_cast<f32>(key % 9);
     });
-    driver.RegisterBuffer(weights, 1, MakeAddApplyFn());
+    driver.RegisterBuffer(weights, 1);
 
     LoopSpec spec;
     spec.iter_space = samples;
